@@ -71,12 +71,11 @@ func run() int {
 		sigma   = flag.Float64("sigma", 0.3, "lognormal fabrication variation")
 		seed    = flag.Uint64("seed", 42, "training and fabrication seed")
 
-		queueDepth  = flag.Int("queue", 256, "bounded request-queue depth (backpressure beyond it)")
-		batchMax    = flag.Int("batch", 32, "micro-batch size cap")
-		batchLinger = flag.Duration("batch-linger", 200*time.Microsecond, "how long a non-full micro-batch waits for more requests")
-		workers     = flag.Int("workers", 2, "batcher goroutines")
-		retryAfter  = flag.Duration("retry-after", 250*time.Millisecond, "client back-off advertised on backpressure rejections")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after SIGTERM/SIGINT")
+		queueDepth = flag.Int("queue", 256, "bounded request-queue depth (backpressure beyond it)")
+		batchMax   = flag.Int("batch", 32, "micro-batch size cap")
+		workers    = flag.Int("workers", 2, "batcher goroutines")
+		retryAfter = flag.Duration("retry-after", 250*time.Millisecond, "client back-off advertised on backpressure rejections")
+		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after SIGTERM/SIGINT")
 
 		readTimeout  = flag.Duration("read-timeout", 10*time.Second, "bound on one request finishing its arrival (anti-slowloris)")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "bound on one binary response write")
@@ -139,7 +138,6 @@ func run() int {
 		Engine:         boot.Fleet,
 		QueueDepth:     *queueDepth,
 		BatchMax:       *batchMax,
-		BatchLinger:    *batchLinger,
 		Workers:        *workers,
 		RetryAfter:     *retryAfter,
 		ReadTimeout:    *readTimeout,

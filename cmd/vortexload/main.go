@@ -9,7 +9,7 @@
 // Usage:
 //
 //	vortexload -addr 127.0.0.1:8372 -scale quick -n 10000 -c 8 -proto binary
-//	vortexload -selfserve -scale quick -n 40000 -c 16 -o BENCH_pr9.json
+//	vortexload -addr 127.0.0.1:8372 -scale quick -n 40000 -c 16 -o load.json
 //	vortexload -addr 127.0.0.1:8372 -retries 4 -hedge 50ms -req-timeout 2s
 //
 // Resilience: -retries arms the binary workers' retry policy (capped
@@ -17,10 +17,6 @@
 // duplicate request on a second connection when the first stalls, and
 // -req-timeout bounds one attempt. The report counts what the
 // machinery did: retries, hedges, hedge wins and timeouts.
-//
-// -selfserve boots a fleet and a serve.Server in-process on a loopback
-// listener, drives it over real TCP, then drains it — the one-command
-// benchmark mode behind `make bench-json-serve`.
 //
 // The -o report records p50/p90/p99/p999/max latency, qps, accuracy,
 // rejection counts and (when reachable) the server's /statz snapshot.
@@ -30,13 +26,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -84,14 +78,12 @@ type latencySummary struct {
 	Count int     `json:"count"`
 }
 
-// report is the -o JSON schema (BENCH_pr9.json).
+// report is the -o JSON schema.
 type report struct {
-	PR          int            `json:"pr"`
 	Date        string         `json:"date"`
 	GoVersion   string         `json:"go_version"`
 	GOMAXPROCS  int            `json:"gomaxprocs"`
 	Addr        string         `json:"addr"`
-	SelfServe   bool           `json:"selfserve"`
 	Proto       string         `json:"proto"`
 	Scale       string         `json:"scale"`
 	Concurrency int            `json:"concurrency"`
@@ -109,7 +101,6 @@ type report struct {
 	LatencyUs   latencySummary `json:"latency_us"`
 	Accuracy    float64        `json:"accuracy"`
 	Server      *serve.Stats   `json:"server,omitempty"`
-	ServedDrain int64          `json:"server_served_at_drain,omitempty"`
 }
 
 func main() {
@@ -118,25 +109,19 @@ func main() {
 
 func run() int {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8372", "server address (host:port)")
-		selfserve = flag.Bool("selfserve", false, "boot the fleet and server in-process on a loopback listener")
-		scale     = flag.String("scale", "quick", "input protocol scale: quick, default or full (must match the server)")
-		seed      = flag.Uint64("seed", 42, "input-set seed (must match the server)")
-		n         = flag.Int64("n", 10000, "total requests to send (spread over workers)")
-		conc      = flag.Int("c", 8, "concurrent closed-loop workers (connections)")
-		proto     = flag.String("proto", "binary", "protocol: json, binary or mixed (workers alternate)")
-		connWait  = flag.Duration("connect-timeout", 15*time.Second, "how long to wait for the server to accept connections")
-		out       = flag.String("o", "", "write the JSON report here (e.g. BENCH_pr9.json)")
+		addr     = flag.String("addr", "127.0.0.1:8372", "server address (host:port)")
+		scale    = flag.String("scale", "quick", "input protocol scale: quick, default or full (must match the server)")
+		seed     = flag.Uint64("seed", 42, "input-set seed (must match the server)")
+		n        = flag.Int64("n", 10000, "total requests to send (spread over workers)")
+		conc     = flag.Int("c", 8, "concurrent closed-loop workers (connections)")
+		proto    = flag.String("proto", "binary", "protocol: json, binary or mixed (workers alternate)")
+		connWait = flag.Duration("connect-timeout", 15*time.Second, "how long to wait for the server to accept connections")
+		out      = flag.String("o", "", "write the JSON report here")
 
 		retries      = flag.Int("retries", 1, "binary: max attempts per request (1 = no retries)")
 		retryBackoff = flag.Duration("retry-backoff", 10*time.Millisecond, "binary: first retry's backoff ceiling (doubles, jittered)")
 		hedge        = flag.Duration("hedge", 0, "binary: fire a duplicate request on a second connection after this stall (0 = off)")
 		reqTimeout   = flag.Duration("req-timeout", 0, "binary: bound one attempt's round-trip (0 = unbounded)")
-
-		members = flag.Int("members", 3, "selfserve: arrays in the fleet")
-		queueD  = flag.Int("queue", 256, "selfserve: request-queue depth")
-		batch   = flag.Int("batch", 32, "selfserve: micro-batch size cap")
-		workers = flag.Int("workers", 2, "selfserve: batcher goroutines")
 	)
 	flag.Parse()
 	if *conc < 1 || *n < 1 {
@@ -156,37 +141,7 @@ func run() int {
 		return exitUsage
 	}
 
-	var srv *serve.Server
-	target := *addr
-	if *selfserve {
-		boot, err := serve.BuildFleet(serve.BootConfig{Scale: *scale, Members: *members, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vortexload:", err)
-			return exitFailure
-		}
-		srv, err = serve.New(serve.Config{
-			Inputs:     boot.Inputs,
-			Engine:     boot.Fleet,
-			QueueDepth: *queueD,
-			BatchMax:   *batch,
-			Workers:    *workers,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vortexload:", err)
-			return exitFailure
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vortexload:", err)
-			return exitFailure
-		}
-		go srv.Serve(ln)
-		target = ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "vortexload: selfserve fleet up on %s (inputs=%d, accuracy=%.3f)\n",
-			target, boot.Inputs, boot.Accuracy)
-	}
-
-	if err := waitReady(target, *connWait); err != nil {
+	if err := waitReady(*addr, *connWait); err != nil {
 		fmt.Fprintln(os.Stderr, "vortexload:", err)
 		return exitFailure
 	}
@@ -209,7 +164,7 @@ func run() int {
 		wg.Add(1)
 		go func(w int, p string, budget int64) {
 			defer wg.Done()
-			runWorker(&stats[w], p, target, set, w, budget, clientOpts{
+			runWorker(&stats[w], p, *addr, set, w, budget, clientOpts{
 				retries: *retries, backoff: *retryBackoff,
 				hedge: *hedge, reqTimeout: *reqTimeout,
 			})
@@ -218,19 +173,8 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := buildReport(stats, elapsed, *proto, *scale, target, *conc, *n, *selfserve)
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vortexload: selfserve drain:", err)
-			return exitFailure
-		}
-		st := srv.Stats()
-		rep.Server = &st
-		rep.ServedDrain = srv.Served()
-	} else if st, err := fetchStats(target); err == nil {
+	rep := buildReport(stats, elapsed, *proto, *scale, *addr, *conc, *n)
+	if st, err := fetchStats(*addr); err == nil {
 		rep.Server = st
 	}
 
@@ -426,15 +370,13 @@ func fetchStats(addr string) (*serve.Stats, error) {
 }
 
 // buildReport merges the worker stats into the report.
-func buildReport(stats []workerStats, elapsed time.Duration, proto, scale, addr string, conc int, n int64, selfserve bool) *report {
+func buildReport(stats []workerStats, elapsed time.Duration, proto, scale, addr string, conc int, n int64) *report {
 	var all []float64
 	rep := &report{
-		PR:          9,
 		Date:        time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Addr:        addr,
-		SelfServe:   selfserve,
 		Proto:       proto,
 		Scale:       scale,
 		Concurrency: conc,

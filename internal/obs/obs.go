@@ -12,8 +12,9 @@
 // fan-outs can hammer them from every worker.
 //
 // Instrumentation can be globally disabled with SetEnabled(false):
-// counters stop counting and spans stop reading the clock, which is how
-// the bench-json harness measures the overhead of the layer itself.
+// counters stop counting and spans stop reading the clock. The
+// repository's benchmark leaves it on and measures what tracing costs
+// by comparing traced and untraced runs (perfbench/NOTES.md).
 package obs
 
 import (
@@ -24,8 +25,7 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates all metric recording. Default on; the benchmark harness
-// flips it off to measure the cost of the instrumentation itself.
+// enabled gates all metric recording. Default on.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

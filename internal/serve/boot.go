@@ -23,9 +23,10 @@ type BootConfig struct {
 	Scale string
 	// Members is the number of arrays in the fleet. Default 3.
 	Members int
-	// Backend is the array simulation backend. Default hw.Analytic —
-	// the serving hot path wants the fast conductance-matrix backend;
-	// use hw.Circuit to serve through the full-physics reference.
+	// Backend is the array simulation backend. The zero value is
+	// hw.Circuit, the full-physics reference; vortexd's -backend flag
+	// defaults to hw.Analytic, the fast conductance-matrix backend the
+	// serving hot path wants.
 	Backend hw.Backend
 	// Sigma is the lognormal fabrication variation. Default 0.3.
 	Sigma float64

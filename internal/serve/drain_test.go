@@ -37,7 +37,6 @@ func TestDrainUnderLoadZeroLoss(t *testing.T) {
 	eng := &slowEngine{delay: 2 * time.Millisecond}
 	s, addr := startServer(t, Config{
 		Inputs: 4, Engine: eng, QueueDepth: 64, Workers: 2, BatchMax: 8,
-		BatchLinger: time.Millisecond,
 	})
 
 	var (

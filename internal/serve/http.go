@@ -132,10 +132,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Admit all vectors before waiting on any, so one HTTP batch can
-	// still coalesce into one micro-batch. If admission fails midway
-	// the already-admitted vectors are awaited (never abandoned) and
-	// the whole request reports the rejection.
+	// Admit all vectors before waiting on any, so they queue together
+	// and coalesce into few micro-batches — not always one: an idle
+	// worker takes the first vector alone the moment it is queued,
+	// and the rest ride the next batch. If admission fails midway the
+	// already-admitted vectors are awaited (never abandoned) and the
+	// whole request reports the rejection.
 	reqs := make([]*request, 0, len(inputs))
 	var admitErr error
 	for _, x := range inputs {

@@ -62,24 +62,22 @@ func (s *Server) enqueue(r *request) error {
 	}
 }
 
-// worker is one batcher goroutine: it pulls the next request, lingers
-// briefly for more (up to BatchMax), and routes the micro-batch into
-// the engine's ReadBatch in one call. Workers keep running through a
-// drain — they are what flushes the queue — and exit only when the
-// drain has emptied it and closed stopWorkers.
+// worker is one batcher goroutine: it blocks for the next request,
+// takes whatever else is already queued (up to BatchMax) without
+// blocking, and routes the micro-batch into the engine's ReadBatch in
+// one call. Batches form only when requests queue behind busy workers;
+// an idle server answers each request alone. Workers keep running
+// through a drain — they are what flushes the queue — and exit only
+// when the drain has emptied it and closed stopWorkers.
 func (s *Server) worker() {
 	defer s.workersDone.Done()
 	batch := make([]*request, 0, s.cfg.BatchMax)
 	xs := make([][]float64, 0, s.cfg.BatchMax)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case r := <-s.queue:
 			batch = append(batch[:0], r)
-			s.fill(&batch, timer)
+			s.fill(&batch)
 			s.runBatch(batch, xs[:0])
 		case <-s.stopWorkers:
 			return
@@ -87,34 +85,18 @@ func (s *Server) worker() {
 	}
 }
 
-// fill grows a started batch up to BatchMax: first by draining whatever
-// is already queued without blocking, then — when a linger is
-// configured — by waiting up to BatchLinger for stragglers. The linger
-// is what coalesces concurrent connections into one ReadBatch.
-func (s *Server) fill(batch *[]*request, timer *time.Timer) {
+// fill grows a started batch up to BatchMax with the requests already
+// queued, without blocking. It never waits for stragglers: on Linux an
+// idle Go process cannot sleep for less than a millisecond, so any wait
+// would cost far more than the fleet read it batches (DESIGN.md §14.1).
+func (s *Server) fill(batch *[]*request) {
 	for len(*batch) < s.cfg.BatchMax {
 		select {
 		case r := <-s.queue:
 			*batch = append(*batch, r)
-			continue
 		default:
-		}
-		break
-	}
-	if s.cfg.BatchLinger <= 0 || len(*batch) >= s.cfg.BatchMax {
-		return
-	}
-	timer.Reset(s.cfg.BatchLinger)
-	for len(*batch) < s.cfg.BatchMax {
-		select {
-		case r := <-s.queue:
-			*batch = append(*batch, r)
-		case <-timer.C:
 			return
 		}
-	}
-	if !timer.Stop() {
-		<-timer.C
 	}
 }
 

@@ -141,7 +141,7 @@ func TestPartialAdmitAccounting(t *testing.T) {
 	// the 4-vector batch admits its first vector, then hits the wall.
 	eng := &stubEngine{gate: make(chan struct{})}
 	s, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, QueueDepth: 3, Workers: 1, BatchMax: 4, BatchLinger: -1,
+		Inputs: 4, Engine: eng, QueueDepth: 3, Workers: 1, BatchMax: 4,
 	})
 
 	// Fill: one request inside the gated engine, then two parked in the

@@ -76,11 +76,6 @@ type Config struct {
 	QueueDepth int
 	// BatchMax caps the size of one micro-batch. Default 32.
 	BatchMax int
-	// BatchLinger is how long a batcher worker holding a non-full batch
-	// waits for more requests before flushing it. Negative disables the
-	// linger entirely (the worker still drains whatever is already
-	// queued without blocking). Default 200µs.
-	BatchLinger time.Duration
 	// Workers is the number of batcher goroutines pulling from the
 	// queue. Default 2.
 	Workers int
@@ -117,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMax == 0 {
 		c.BatchMax = 32
-	}
-	if c.BatchLinger == 0 {
-		c.BatchLinger = 200 * time.Microsecond
 	}
 	if c.Workers == 0 {
 		c.Workers = 2

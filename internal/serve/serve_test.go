@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,7 +202,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	// occupies the worker, two fill the queue, the next must get 429.
 	eng := &stubEngine{gate: make(chan struct{})}
 	s, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, QueueDepth: 2, Workers: 1, BatchMax: 1, BatchLinger: -1,
+		Inputs: 4, Engine: eng, QueueDepth: 2, Workers: 1, BatchMax: 1,
 		RetryAfter: 1500 * time.Millisecond,
 	})
 
@@ -275,7 +276,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 func TestBinaryQueueFullStatus(t *testing.T) {
 	eng := &stubEngine{gate: make(chan struct{})}
 	_, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, QueueDepth: 1, Workers: 1, BatchMax: 1, BatchLinger: -1,
+		Inputs: 4, Engine: eng, QueueDepth: 1, Workers: 1, BatchMax: 1,
 		RetryAfter: 300 * time.Millisecond,
 	})
 
@@ -338,39 +339,33 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 }
 
 func TestMicroBatching(t *testing.T) {
-	// Many concurrent single-input requests with a generous linger must
-	// coalesce into multi-request ReadBatch calls.
-	eng := &stubEngine{}
-	_, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 16, BatchLinger: 5 * time.Millisecond,
-	})
-	const n = 48
+	// Requests that queue behind a busy worker coalesce into one engine
+	// call: with the sole worker held in the gated engine, 20 parked
+	// requests must drain as one full micro-batch plus the remainder.
+	eng := &stubEngine{gate: make(chan struct{})}
+	s, _ := startServer(t, Config{Inputs: 4, Engine: eng, Workers: 1, BatchMax: 16})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postClassify(t, addr, ClassifyRequest{Input: testInput(i)})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d: %s", resp.StatusCode, body)
-			}
-		}(i)
+	submit := func(i int) {
+		defer wg.Done()
+		if _, err := s.submit(testInput(i)); err != nil {
+			t.Errorf("request %d: %v", i, err)
+		}
 	}
+	wg.Add(1)
+	go submit(0)
+	waitFor(t, 5*time.Second, func() bool { return eng.calls.Load() == 1 })
+	const parked = 20
+	for i := 1; i <= parked; i++ {
+		wg.Add(1)
+		go submit(i)
+	}
+	waitFor(t, 5*time.Second, func() bool { return s.Stats().QueueDepth == parked })
+	close(eng.gate)
 	wg.Wait()
 	eng.mu.Lock()
 	defer eng.mu.Unlock()
-	total, maxB := 0, 0
-	for _, b := range eng.batchSizes {
-		total += b
-		if b > maxB {
-			maxB = b
-		}
-	}
-	if total != n {
-		t.Errorf("batches cover %d requests, want %d", total, n)
-	}
-	if maxB < 2 {
-		t.Errorf("max micro-batch size %d; concurrent load never coalesced (sizes %v)", maxB, eng.batchSizes)
+	if want := []int{1, 16, 4}; !slices.Equal(eng.batchSizes, want) {
+		t.Errorf("batch sizes %v, want %v", eng.batchSizes, want)
 	}
 }
 
@@ -437,14 +432,12 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(Config{Engine: &stubEngine{}}); err == nil {
 		t.Error("zero inputs accepted")
 	}
-	if _, err := New(Config{Inputs: 4, Engine: &stubEngine{}, BatchLinger: -2}); err != nil {
-		t.Errorf("negative linger (= disabled) rejected: %v", err)
-	}
 }
 
-// TestServeRealFleet wires a real quick-scale analytic fleet under the
-// server and checks classifications flow end to end — the integration
-// path vortexd runs, minus the process boundary.
+// TestServeRealFleet wires a real quick-scale fleet under the server
+// and checks classifications flow end to end — the integration path
+// vortexd runs, minus the process boundary. The fleet runs on
+// BootConfig's zero Backend, hw.Circuit; vortexd defaults to analytic.
 func TestServeRealFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping fleet boot (trains a classifier)")

@@ -48,7 +48,7 @@ func (e *panicEngine) ReadBatch(xs [][]float64) (fleet.BatchResult, error) {
 func TestRequestTimeoutHTTP(t *testing.T) {
 	eng := &stubEngine{gate: make(chan struct{})}
 	s, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1, BatchLinger: -1,
+		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1,
 		RequestTimeout: 50 * time.Millisecond,
 	})
 
@@ -102,7 +102,7 @@ func TestRequestTimeoutHTTP(t *testing.T) {
 func TestRequestTimeoutBinary(t *testing.T) {
 	eng := &stubEngine{gate: make(chan struct{})}
 	s, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1, BatchLinger: -1,
+		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1,
 		RequestTimeout: 50 * time.Millisecond,
 	})
 	blocker, err := DialBinary(addr, 5*time.Second)
@@ -148,7 +148,7 @@ func TestRequestTimeoutBinary(t *testing.T) {
 func TestCtxEngineDeadline(t *testing.T) {
 	eng := &slowCtxEngine{}
 	s, addr := startServer(t, Config{
-		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1, BatchLinger: -1,
+		Inputs: 4, Engine: eng, Workers: 1, BatchMax: 1,
 		RequestTimeout: 50 * time.Millisecond,
 	})
 	start := time.Now()
