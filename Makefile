@@ -47,14 +47,17 @@ bench-json:
 doccheck:
 	$(GO) run ./cmd/doccheck $(shell find ./internal ./cmd -type d | sort)
 
-# Short fuzz sessions over the quantizer, the device dynamics and the
-# binary protocol's frame decoders.
+# Short fuzz sessions over the quantizer, the device dynamics, the
+# binary protocol's frame decoders, the Prometheus exposition validator
+# and checkpoint files.
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzAdvance -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 30s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzValidatePrometheus -fuzztime 30s
+	$(GO) test ./internal/experiment/ -run '^$$' -fuzz FuzzCheckpointFile -fuzztime 30s
 
 experiments:
 	$(GO) run ./cmd/vortexsim -exp all -scale default

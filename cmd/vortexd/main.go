@@ -3,7 +3,7 @@
 // (internal/serve.BuildFleet), then serves classification requests on
 // one TCP listener speaking both HTTP/JSON and the length-prefixed
 // binary hot path, with bounded-queue backpressure and micro-batching
-// into the fleet's zero-alloc ReadBatch (see DESIGN.md §14).
+// into the fleet's zero-alloc ReadBatchCtx (see DESIGN.md §14).
 //
 // Usage:
 //
@@ -106,19 +106,14 @@ func run() int {
 	}
 	obs.SetLogger(log)
 
-	var be hw.Backend
-	switch *backend {
-	case "analytic":
-		be = hw.Analytic
-	case "circuit":
-		be = hw.Circuit
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want analytic or circuit)\n", *backend)
+	be, err := hw.ParseBackend(*backend)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
 	}
 
 	bootStart := time.Now()
-	log.Info("booting fleet", "scale", *scale, "members", *members, "backend", *backend, "seed", *seed)
+	log.Info("booting fleet", "scale", *scale, "members", *members, "backend", be.String(), "seed", *seed)
 	boot, err := serve.BuildFleet(serve.BootConfig{
 		Scale:   *scale,
 		Members: *members,

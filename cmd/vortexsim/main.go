@@ -43,12 +43,13 @@
 //	-log-format json  machine-readable log stream
 //	-metrics FILE     write the final metrics snapshot as JSON
 //	-metrics-prom F   write the final metrics in Prometheus text format
-//	-trace FILE       retain completed spans and write them as Chrome
-//	                  trace_event JSON (chrome://tracing, Perfetto)
+//	-trace FILE       write the retained spans as Chrome trace_event
+//	                  JSON (chrome://tracing, Perfetto)
 //	-crash-dir D      where crash dumps land (default .); a panic,
 //	                  SIGQUIT, timeout or driver failure writes
 //	                  crash-<exp>-<ts>.json with the run manifest, the
-//	                  metrics snapshot and the flight-recorder tail
+//	                  metrics snapshot and the newest 256 spans and
+//	                  events, so the span tree around the failure shows
 //	-pprof ADDR       serve net/http/pprof, expvar and
 //	                  /metrics/prometheus for live profiling/scraping
 //
@@ -107,7 +108,7 @@ func run() int {
 		logFormat = flag.String("log-format", "text", "log format: text or json")
 		metrics   = flag.String("metrics", "", "write the final metrics-registry snapshot as JSON to this file")
 		promPath  = flag.String("metrics-prom", "", "write the final metrics registry in Prometheus text exposition format to this file")
-		tracePath = flag.String("trace", "", "retain completed spans and write them as Chrome trace_event JSON to this file")
+		tracePath = flag.String("trace", "", "write the retained spans as Chrome trace_event JSON to this file")
 		crashDir  = flag.String("crash-dir", ".", "directory crash dumps are written to on panic, SIGQUIT, timeout or driver failure")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics/prometheus on this address (e.g. localhost:6060)")
 
@@ -138,11 +139,12 @@ func run() int {
 	}
 	obs.SetLogger(log)
 
-	// Post-mortem instrumentation: the flight recorder retains the last
-	// structured events, the manifest makes every crash dump
-	// self-describing, and a panic escaping any driver (or the harness
-	// itself) is dumped before it is re-raised with its stack intact.
-	obs.SetFlight(obs.NewFlight(256))
+	// Post-mortem instrumentation: one ring retains the latest spans and
+	// events for every run (-trace only decides whether the Chrome file
+	// is written), the manifest makes every crash dump self-describing,
+	// and a panic escaping any driver (or the harness itself) is dumped
+	// before it is re-raised with its stack intact.
+	obs.SetTracer(obs.NewTraceBuffer(8192))
 	obs.SetManifest(buildManifest(*exp, *scale, *seed))
 	dumpName := *exp
 	if dumpName == "" {
@@ -168,10 +170,6 @@ func run() int {
 		}
 		os.Exit(exitQuit)
 	}()
-	if *tracePath != "" {
-		obs.SetTracer(obs.NewTraceBuffer(8192))
-	}
-
 	// Live progress from the Monte-Carlo fan-outs, throttled inside the
 	// experiment package.
 	experiment.SetProgress(func(done, total int, eta time.Duration) {
@@ -366,7 +364,7 @@ func run() int {
 				code = exitFailure
 			}
 		} else {
-			log.Info("trace written", "file", *tracePath, "spans", obs.Tracer().Len(),
+			log.Info("trace written", "file", *tracePath, "ring_entries", obs.Tracer().Len(),
 				"dropped", obs.Tracer().Dropped())
 		}
 	}

@@ -11,9 +11,10 @@ import (
 // crashdemo is the observability pipeline's demonstration sweep: one
 // trial panics deliberately on its first attempt. Without -retries the
 // sweep fails with a *TrialError and vortexsim leaves a crash dump
-// whose flight-recorder tail shows the trial's span and panic event;
-// with -retries 2 (or -partial) the run survives and the retry (or
-// abandonment) shows up instead. It is the CLI-reachable fixture behind
+// whose window of the obs ring shows the panic event next to the span
+// tree experiment.crashdemo → sweep → trial; with -retries 2 (or
+// -partial) the run survives and the retry (or abandonment) shows up
+// instead. It is the CLI-reachable fixture behind
 // the crash-dump smoke tests and the EXPERIMENTS.md post-mortem walk-
 // through — no figure in the paper corresponds to it.
 
@@ -54,7 +55,7 @@ func (r *CrashDemoResult) Annotation() string {
 func init() {
 	register(Runner{
 		Name:        "crashdemo",
-		Description: "deliberately panic one Monte-Carlo trial (crash-dump, retry and flight-recorder demo)",
+		Description: "deliberately panic one Monte-Carlo trial (crash-dump span tree and retry demo)",
 		Run: func(ctx context.Context, s Scale, seed uint64) (Result, error) {
 			n := crashDemoTrials(s)
 			vals, done, err := parallelTrials(ctx, n, func(t Trial) (float64, error) {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"vortex/internal/obs"
 )
 
 // TestCrashDemoFailsWithoutRetries pins the fixture's contract: the
@@ -63,5 +66,37 @@ func TestCrashDemoSurvivesWithRetries(t *testing.T) {
 	}
 	if res.Table() == "" || !strings.Contains(res.Annotation(), "-retries 2") {
 		t.Error("Table/Annotation incomplete")
+	}
+}
+
+// After crashdemo dies, the crash dump holds the panic event and the
+// span tree around it: the panicking trial's span → its sweep → the
+// experiment root, on one trace.
+func TestCrashDemoDumpHoldsSpanTree(t *testing.T) {
+	installTrace(t)
+	r, _ := Lookup("crashdemo")
+	if _, err := r.Run(context.Background(), Quick, 7); err == nil {
+		t.Fatal("crashdemo succeeded without retries, want a trial panic")
+	}
+	bad := strconv.Itoa(crashDemoTrials(Quick) / 2)
+	spans := map[string]obs.Event{}
+	var trial obs.Event
+	panicked := false
+	for _, ev := range obs.BuildCrashDump("crashdemo test").Events {
+		panicked = panicked || ev.Kind == "panic" && ev.Attrs["trial"] == bad
+		if ev.Kind == "span" {
+			spans[ev.Span] = ev
+			if ev.Name == "trial" && ev.Attrs["trial"] == bad && ev.Attrs["attempt"] == "0" {
+				trial = ev
+			}
+		}
+	}
+	sweep, root := spans[trial.Parent], spans[spans[trial.Parent].Parent]
+	if !panicked || trial.Span == "" || sweep.Name != "sweep" || root.Name != "experiment.crashdemo" || root.Parent != "" {
+		t.Fatalf("panic event %v, tree trial %+v → %+v → %+v; want trial → sweep → experiment.crashdemo root",
+			panicked, trial, sweep, root)
+	}
+	if trial.Trace != sweep.Trace || sweep.Trace != root.Trace {
+		t.Errorf("trace IDs diverge: trial %q, sweep %q, root %q", trial.Trace, sweep.Trace, root.Trace)
 	}
 }

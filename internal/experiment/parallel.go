@@ -131,7 +131,8 @@ const vecChunk = 32
 // the vectorized stage opens one "chunk" span per batch call beneath
 // it, and every scalar trial attempt runs under a leaf "trial" span —
 // the sweep → chunk → trial tree the -trace timeline renders. Retries,
-// panics, fallbacks and checkpoint replays are flight-recorder events.
+// panics, fallbacks and checkpoint replays are point events in the same
+// ring, so a crash dump shows them inside that tree.
 func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx context.Context, idxs []int) ([]T, error), fn func(t Trial) (T, error)) ([]T, []bool, error) {
 	out := make([]T, n)
 	done := make([]bool, n)
@@ -374,7 +375,7 @@ func runBatchStage[T any](ctx context.Context, st *sweepState, seq, n int, pendi
 			out[i], done[i] = vals[k], true
 			saveTrial(st, seq, n, i, vals[k])
 		}
-		if obs.TracingEnabled() {
+		if obs.Tracer() != nil {
 			// One fused batch call computed the whole chunk, so no real
 			// per-trial timing exists; synthesize amortized trial spans
 			// (an equal slice of the chunk each) so the timeline keeps

@@ -125,7 +125,7 @@ func TestRunnerDecoratesResultWithMetrics(t *testing.T) {
 	// programming pulses must have been counted under that name, and the
 	// experiment span must be present.
 	if got := rr.Metrics.Counters["hw.circuit.reads"]; got == 0 {
-		t.Errorf("hw.circuit.reads = %d, want > 0 (counters: %v)", got, rr.Metrics.CounterNames())
+		t.Errorf("hw.circuit.reads = %d, want > 0 (counters: %v)", got, rr.Metrics.Counters)
 	}
 	if got := rr.Metrics.Counters["hw.circuit.pulses"]; got == 0 {
 		t.Errorf("hw.circuit.pulses = %d, want > 0", got)

@@ -8,17 +8,14 @@ import (
 	"vortex/internal/obs"
 )
 
-// installTrace wires a fresh trace buffer and flight recorder for one
-// test and restores the previous ones afterwards.
-func installTrace(t *testing.T) (*obs.TraceBuffer, *obs.Flight) {
+// installTrace installs a fresh ring for one test and restores the
+// previous one afterwards.
+func installTrace(t *testing.T) *obs.TraceBuffer {
 	t.Helper()
 	tb := obs.NewTraceBuffer(1024)
-	prevT := obs.SetTracer(tb)
-	t.Cleanup(func() { obs.SetTracer(prevT) })
-	f := obs.NewFlight(256)
-	prevF := obs.SetFlight(f)
-	t.Cleanup(func() { obs.SetFlight(prevF) })
-	return tb, f
+	prev := obs.SetTracer(tb)
+	t.Cleanup(func() { obs.SetTracer(prev) })
+	return tb
 }
 
 // TestVectorizedSweepTraceTree drives parallelTrialsBatch through its
@@ -26,7 +23,7 @@ func installTrace(t *testing.T) (*obs.TraceBuffer, *obs.Flight) {
 // tree to nest root → sweep → chunk → amortized trial, all under one
 // trace ID — the engine-level version of the -trace CLI acceptance.
 func TestVectorizedSweepTraceTree(t *testing.T) {
-	tb, _ := installTrace(t)
+	tb := installTrace(t)
 	const n = vecChunk + 3 // two chunks
 	ctx, root := obs.StartSpanCtx(context.Background(), "experiment.test")
 	vals, done, err := parallelTrialsBatch(ctx, n,
@@ -83,10 +80,10 @@ func TestVectorizedSweepTraceTree(t *testing.T) {
 }
 
 // TestScalarTrialSpansAndFlightEvents runs a panicking-then-failing
-// sweep on the scalar engine and requires the flight recorder to retain
-// the panic, retry and span events a post-mortem dump is built from.
+// sweep on the scalar engine and requires the crash dump to hold the
+// panic, retry and abandonment events and the ring the trial spans.
 func TestScalarTrialSpansAndFlightEvents(t *testing.T) {
-	tb, f := installTrace(t)
+	tb := installTrace(t)
 	st := newSweepState("tracetest", Quick, 7,
 		RunConfig{Retry: RetryPolicy{MaxAttempts: 2}, Partial: true})
 	ctx := withSweepState(context.Background(), st)
@@ -108,7 +105,7 @@ func TestScalarTrialSpansAndFlightEvents(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
-	for _, ev := range f.Events() {
+	for _, ev := range obs.BuildCrashDump(t.Name()).Events {
 		kinds[ev.Kind+"/"+ev.Name]++
 	}
 	if kinds["panic/trial"] != 1 {
@@ -135,9 +132,9 @@ func TestScalarTrialSpansAndFlightEvents(t *testing.T) {
 }
 
 // TestCheckpointResumeEmitsEvent replays a checkpointed sweep and
-// requires the resume to land in the flight recorder.
+// requires the resume event in the crash dump.
 func TestCheckpointResumeEmitsEvent(t *testing.T) {
-	_, f := installTrace(t)
+	installTrace(t)
 	dir := t.TempDir()
 	mk := func() context.Context {
 		st := newSweepState("evtest", Quick, 7, RunConfig{CheckpointDir: dir})
@@ -154,13 +151,14 @@ func TestCheckpointResumeEmitsEvent(t *testing.T) {
 	if _, _, err := parallelTrials(mk(), 4, func(tr Trial) (int, error) { return tr.Index, nil }); err != nil {
 		t.Fatal(err)
 	}
+	evs := obs.BuildCrashDump(t.Name()).Events
 	found := false
-	for _, ev := range f.Events() {
+	for _, ev := range evs {
 		if ev.Kind == "checkpoint" && ev.Name == "resume" && ev.Attrs["trials"] == "4" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no checkpoint resume event: %+v", f.Events())
+		t.Errorf("no checkpoint resume event: %+v", evs)
 	}
 }

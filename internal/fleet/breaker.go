@@ -78,7 +78,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
-	name     string // flight-recorder identity; "" stays silent
+	name     string // event identity in the obs ring; "" stays silent
 	state    BreakerState
 	recent   []bool // ring of recent outcomes, true = failure
 	pos      int    // next write position in recent
@@ -95,7 +95,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // newNamedBreaker builds a breaker whose state transitions are recorded
-// in the flight recorder under name (the fleet member id).
+// as events in the obs ring under name (the fleet member id).
 func newNamedBreaker(name string, cfg BreakerConfig) *Breaker {
 	b := NewBreaker(cfg)
 	b.name = name
@@ -219,8 +219,8 @@ func (b *Breaker) failures() int {
 }
 
 // reset moves to state and clears the window, rejection and probe
-// counters. Named breakers record the transition in the flight
-// recorder. Callers hold b.mu.
+// counters. Named breakers record the transition as an event in the
+// obs ring. Callers hold b.mu.
 func (b *Breaker) reset(state BreakerState) {
 	if b.name != "" && b.state != state {
 		obs.RecordEvent("breaker", b.name, "from", b.state, "to", state)

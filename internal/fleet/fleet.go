@@ -150,10 +150,10 @@ type Config struct {
 	Breaker BreakerConfig
 }
 
-// Fleet is the routing pool. Reads enter through Classify/ReadBatch and
-// are round-robined across serving members whose breakers admit them,
-// failing over member by member; when nothing healthy remains, the
-// least-bad degraded member answers with the result flagged. A Fleet is
+// Fleet is the routing pool. Reads enter through Classify/ReadBatchCtx
+// and are round-robined across serving members whose breakers admit
+// them, failing over member by member; when nothing healthy remains,
+// the least-bad degraded member answers with the result flagged. A Fleet is
 // safe for concurrent use from any number of goroutines.
 type Fleet struct {
 	members []*Member
@@ -266,20 +266,15 @@ func (f *Fleet) Classify(x []float64) (Result, error) {
 	return res, err
 }
 
-// ReadBatch routes a batch of reads to one member (amortizing the
+// ReadBatchCtx routes a batch of reads to one member (amortizing the
 // per-member effective-weight resolution across the batch), failing the
-// whole batch over to the next member on error.
-func (f *Fleet) ReadBatch(xs [][]float64) (BatchResult, error) {
-	return f.ReadBatchCtx(context.Background(), xs)
-}
-
-// ReadBatchCtx is ReadBatch bounded by a context: a deadline or
-// cancellation is honored between failover hops (a read already running
-// on a member's hardware is synchronous and cannot be interrupted
-// mid-solve), so a dead context stops the router from burning more
-// members on a request nobody is waiting for. The context error is
-// returned wrapped; errors.Is(err, context.DeadlineExceeded) detects
-// the blown deadline.
+// whole batch over to the next member on error. A deadline or
+// cancellation of ctx is honored between failover hops (a read already
+// running on a member's hardware is synchronous and cannot be
+// interrupted mid-solve), so a dead context stops the router from
+// burning more members on a request nobody is waiting for. The context
+// error is returned wrapped; errors.Is(err, context.DeadlineExceeded)
+// detects the blown deadline.
 func (f *Fleet) ReadBatchCtx(ctx context.Context, xs [][]float64) (BatchResult, error) {
 	var res BatchResult
 	err := f.route(ctx, func(m *Member, n *ncs.NCS) error {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -217,7 +218,7 @@ func TestBatchReadRoutesAndFailsOver(t *testing.T) {
 		xs[i] = set.Samples[i].Pixels
 		want[i] = set.Samples[i].Label
 	}
-	res, err := f.ReadBatch(xs)
+	res, err := f.ReadBatchCtx(context.Background(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,11 +101,11 @@ func metricsForPrefix(prefix string) *Metrics {
 	return m
 }
 
-// Start opens a latency measurement. It returns the zero time when
-// instrumentation is disabled so the matching Observe* skips the
-// histogram — the whole probe then costs two atomic loads.
+// Start opens a latency measurement for the matching Observe*. A nil
+// bundle, which records nothing, skips the clock read and returns the
+// zero time.
 func (m *Metrics) Start() time.Time {
-	if m == nil || !obs.Enabled() {
+	if m == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -118,9 +118,7 @@ func (m *Metrics) ObserveRead(start time.Time) {
 		return
 	}
 	m.reads.Inc()
-	if !start.IsZero() {
-		m.readNS.RecordDuration(time.Since(start))
-	}
+	m.readNS.RecordDuration(time.Since(start))
 }
 
 // ObserveBatchRead accounts one ReadBatch call of n input vectors
@@ -133,17 +131,14 @@ func (m *Metrics) ObserveBatchRead(start time.Time, n int) {
 	}
 	m.batchReads.Inc()
 	m.reads.Add(int64(n))
-	if !start.IsZero() {
-		m.batchReadNS.RecordDuration(time.Since(start))
-	}
+	m.batchReadNS.RecordDuration(time.Since(start))
 }
 
 // ObserveSolverSweeps records the block-sweep count of one converged
 // circuit solve in the solver.sweeps histogram — the series that shows
-// warm-started sweeps collapsing versus cold solves. Recording is gated
-// on the obs enable flag like the latency histograms.
+// warm-started sweeps collapsing versus cold solves.
 func (m *Metrics) ObserveSolverSweeps(sweeps int) {
-	if m == nil || !obs.Enabled() {
+	if m == nil {
 		return
 	}
 	m.solverSweeps.Record(float64(sweeps))
@@ -157,9 +152,7 @@ func (m *Metrics) ObserveProgram(start time.Time, n int) {
 	}
 	m.batches.Inc()
 	m.pulses.Add(int64(n))
-	if !start.IsZero() {
-		m.programNS.RecordDuration(time.Since(start))
-	}
+	m.programNS.RecordDuration(time.Since(start))
 }
 
 // ObserveBatchFabricate accounts the fabrication of one TrialBatch of
@@ -171,9 +164,7 @@ func (m *Metrics) ObserveBatchFabricate(start time.Time, trials int) {
 		return
 	}
 	m.batchTrials.Add(int64(trials))
-	if !start.IsZero() {
-		m.batchFabricateNS.RecordDuration(time.Since(start))
-	}
+	m.batchFabricateNS.RecordDuration(time.Since(start))
 }
 
 // ObserveBatchBuild accounts one lazy rebuild of a trial-lane-group
@@ -182,9 +173,7 @@ func (m *Metrics) ObserveBatchBuild(start time.Time) {
 	if m == nil {
 		return
 	}
-	if !start.IsZero() {
-		m.batchBuildNS.RecordDuration(time.Since(start))
-	}
+	m.batchBuildNS.RecordDuration(time.Since(start))
 }
 
 // ObserveBatchScores accounts one fused ReadLanesInto over lanes trial
@@ -196,9 +185,7 @@ func (m *Metrics) ObserveBatchScores(start time.Time, lanes int) {
 		return
 	}
 	m.reads.Add(int64(lanes))
-	if !start.IsZero() {
-		m.batchScoresNS.RecordDuration(time.Since(start))
-	}
+	m.batchScoresNS.RecordDuration(time.Since(start))
 }
 
 // ObserveBatchProgram accounts one hoisted TrialBatch programming pass
@@ -213,9 +200,7 @@ func (m *Metrics) ObserveBatchProgram(start time.Time, pulses, trials int) {
 	}
 	m.batches.Add(int64(trials))
 	m.pulses.Add(int64(pulses) * int64(trials))
-	if !start.IsZero() {
-		m.batchProgramNS.RecordDuration(time.Since(start))
-	}
+	m.batchProgramNS.RecordDuration(time.Since(start))
 }
 
 // ObserveVerify accounts one ProgramVerify pass over cells cells that
@@ -226,7 +211,5 @@ func (m *Metrics) ObserveVerify(start time.Time, cells, iters int) {
 	}
 	m.verifyCells.Add(int64(cells))
 	m.verifyIters.Add(int64(iters))
-	if !start.IsZero() {
-		m.verifyNS.RecordDuration(time.Since(start))
-	}
+	m.verifyNS.RecordDuration(time.Since(start))
 }

@@ -79,7 +79,7 @@ func bucketMid(idx int) float64 {
 // they do not perturb min/max/sum — a single +Inf would otherwise
 // poison the sum and make the snapshot unmarshalable as JSON.
 func (h *Histogram) Record(v float64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	h.buckets[bucketIndex(v)].Add(1)

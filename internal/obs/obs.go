@@ -11,38 +11,27 @@
 // increments, histogram records) are single atomic ops so Monte-Carlo
 // fan-outs can hammer them from every worker.
 //
-// Instrumentation can be globally disabled with SetEnabled(false):
-// counters stop counting and spans stop reading the clock. The
-// repository's benchmark leaves it on and measures what tracing costs
-// by comparing traced and untraced runs (perfbench/NOTES.md).
+// Spans with trace identity and point events (RecordEvent) go to one
+// bounded lock-free ring, the TraceBuffer installed with SetTracer,
+// which the Chrome trace export and crash dumps read; with none
+// installed they cost one atomic load. The repository's benchmark
+// measures tracing by comparing runs with and without a ring
+// (perfbench/NOTES.md).
 package obs
 
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates all metric recording. Default on.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric recording on or off process-wide and returns
-// the previous setting.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether metric recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(1)
@@ -50,7 +39,7 @@ func (c *Counter) Inc() {
 
 // Add adds n (n < 0 is ignored; counters only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 || !enabled.Load() {
+	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -69,7 +58,7 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -164,17 +153,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset drops every metric in the registry. Handles obtained before the
-// reset keep working but no longer appear in snapshots; tests and the
-// bench harness use this to isolate measurement windows.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-}
-
 // Snapshot is a point-in-time, JSON-serializable view of a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
@@ -208,14 +186,3 @@ func (r *Registry) Snapshot() Snapshot {
 // JSON renders the snapshot as indented JSON with stable key order
 // (encoding/json sorts map keys).
 func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
-// CounterNames returns the sorted names of every counter in the
-// snapshot (a convenience for tests and reports).
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

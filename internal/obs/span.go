@@ -12,8 +12,8 @@ import (
 // logs one structured record. A span started through StartSpanCtx (or
 // StartSpanFrom) additionally carries trace identity — a trace ID
 // shared with its ancestors plus its own span ID — and its completion
-// is retained by the installed TraceBuffer and flight recorder. A nil
-// *Span is inert, so callers can unconditionally defer End.
+// is retained as one entry of the installed TraceBuffer. A nil *Span
+// is inert, so callers can unconditionally defer End.
 type Span struct {
 	name  string
 	reg   *Registry
@@ -36,43 +36,31 @@ type SpanContext struct {
 // spanCtxKey carries a SpanContext through a context.Context.
 type spanCtxKey struct{}
 
-// SpanFromContext returns the active span identity installed by
-// StartSpanCtx, reporting whether one is present.
-func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok
-}
-
-// ContextWithSpan returns ctx carrying sc as the active span — the hook
-// for boundaries (a crash dump, a synthetic root) that need to graft
-// spans under an identity they did not start. Most callers should use
-// StartSpanCtx instead.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
+// parentOf returns the trace ID and parent span ID of a span started
+// under ctx: the active span's identity, or a fresh trace at the root.
+func parentOf(ctx context.Context) (traceID, parentID uint64) {
+	if sc, ok := ctx.Value(spanCtxKey{}).(SpanContext); ok {
+		return sc.TraceID, sc.SpanID
+	}
+	return newID(), 0
 }
 
 // StartSpan opens a span against the default registry. The variadic
 // attrs are slog key/value pairs attached to the completion record.
-// When instrumentation is disabled it returns nil without reading the
-// clock. The span has no trace identity; use StartSpanCtx to join a
-// trace.
+// The span has no trace identity; use StartSpanCtx to join a trace.
 func StartSpan(name string, attrs ...any) *Span {
 	return Default().StartSpan(name, attrs...)
 }
 
 // StartSpan opens a span against this registry.
 func (r *Registry) StartSpan(name string, attrs ...any) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	return &Span{name: name, reg: r, start: time.Now(), attrs: attrs}
 }
 
 // StartSpanCtx opens a span against the default registry as a child of
 // the span active in ctx (or as the root of a fresh trace when there is
 // none) and returns a derived context carrying the new span as the
-// active one. When instrumentation is disabled it returns ctx unchanged
-// and a nil span.
+// active one.
 func StartSpanCtx(ctx context.Context, name string, attrs ...any) (context.Context, *Span) {
 	return Default().StartSpanCtx(ctx, name, attrs...)
 }
@@ -80,10 +68,7 @@ func StartSpanCtx(ctx context.Context, name string, attrs ...any) (context.Conte
 // StartSpanCtx opens a context-propagated span against this registry.
 func (r *Registry) StartSpanCtx(ctx context.Context, name string, attrs ...any) (context.Context, *Span) {
 	s := r.StartSpanFrom(ctx, name, attrs...)
-	if s == nil {
-		return ctx, nil
-	}
-	return ContextWithSpan(ctx, SpanContext{TraceID: s.traceID, SpanID: s.spanID}), s
+	return context.WithValue(ctx, spanCtxKey{}, SpanContext{TraceID: s.traceID, SpanID: s.spanID}), s
 }
 
 // StartSpanFrom opens a span parented under the span active in ctx
@@ -96,35 +81,23 @@ func StartSpanFrom(ctx context.Context, name string, attrs ...any) *Span {
 
 // StartSpanFrom opens a leaf span against this registry.
 func (r *Registry) StartSpanFrom(ctx context.Context, name string, attrs ...any) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	s := &Span{name: name, reg: r, start: time.Now(), attrs: attrs, spanID: newID()}
-	if sc, ok := SpanFromContext(ctx); ok {
-		s.traceID, s.parentID = sc.TraceID, sc.SpanID
-	} else {
-		s.traceID = newID()
-	}
+	s.traceID, s.parentID = parentOf(ctx)
 	return s
 }
 
-// End closes the span and returns its duration (0 for a nil span).
-// End honors the global gate: a span started while instrumentation was
-// enabled but ended after SetEnabled(false) records nothing and does
-// not read the clock, so a measurement window closed with SetEnabled is
-// not contaminated by in-flight spans draining into it.
+// End closes the span and returns its duration (0 for a nil span): it
+// records the duration into the span's histogram and, for a span with
+// trace identity, one entry into the installed ring.
 func (s *Span) End() time.Duration {
-	if s == nil || !enabled.Load() {
+	if s == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.reg.Histogram("span." + s.name).RecordDuration(d)
-	if s.spanID != 0 {
-		if tb := tracer.Load(); tb != nil {
-			tb.add(&SpanRecord{TraceID: s.traceID, SpanID: s.spanID, ParentID: s.parentID,
-				Name: s.name, Start: s.start, Dur: d, Attrs: s.attrs})
-		}
-		RecordEvent("span", s.name, append([]any{"elapsed", d}, s.attrs...)...)
+	if tb := tracer.Load(); tb != nil && s.spanID != 0 {
+		tb.add(&SpanRecord{TraceID: s.traceID, SpanID: s.spanID, ParentID: s.parentID,
+			Name: s.name, Start: s.start, Dur: d, Attrs: s.attrs})
 	}
 	if DebugEnabled() {
 		args := append([]any{slog.String("span", s.name), slog.Duration("elapsed", d)}, s.attrs...)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -16,11 +17,11 @@ import (
 // its parent's span ID, all drawn from a process-wide splitmix64
 // stream. The IDs ride a context.Context, so a driver that threads ctx
 // through its fan-out gets a real span tree — sweep → chunk → trial —
-// with no extra plumbing. Ended spans are recorded into an optional
-// bounded TraceBuffer and exportable as Chrome trace_event JSON
-// (chrome://tracing, Perfetto); without a buffer installed the IDs
-// still propagate but nothing is retained, so tracing costs two atomic
-// loads on the paths that do not use it.
+// with no extra plumbing. Ended spans and point events (RecordEvent)
+// go to one optional bounded ring, the installed TraceBuffer, read by
+// the Chrome trace_event export (chrome://tracing, Perfetto) and by
+// crash dumps; without one the IDs still propagate but nothing is
+// retained, so tracing costs one atomic load where it is not used.
 
 // idState is the splitmix64 generator state behind trace and span IDs.
 // Seeded from the clock once so concurrent processes produce disjoint
@@ -45,31 +46,33 @@ func newID() uint64 {
 	}
 }
 
-// SpanRecord is one completed span as retained by a TraceBuffer: the
-// identity triple, the histogram/span name, wall-clock start, duration
-// and the slog-style attr pairs the span was started with.
+// SpanRecord is one ring entry: a completed span (the identity triple,
+// the histogram/span name, wall-clock start, duration and the span's
+// slog-style attr pairs) or a point event from RecordEvent (its kind,
+// name, record time and stringified attrs; zero IDs and duration).
 type SpanRecord struct {
 	TraceID  uint64
 	SpanID   uint64
 	ParentID uint64 // zero for a root span
+	Kind     string // "" for a span; the event kind for a point event
 	Name     string
 	Start    time.Time
 	Dur      time.Duration
 	Attrs    []any
 }
 
-// TraceBuffer is a bounded lock-free ring of recently completed spans.
-// Add is an atomic counter bump plus one pointer store, so the trial
-// fan-out can record from every worker; once full, the oldest spans are
-// overwritten. Snapshotting walks the slots and sorts by start time.
+// TraceBuffer is a bounded lock-free ring of recent spans and point
+// events. Add is an atomic counter bump plus one pointer store, so the
+// trial fan-out can record from every worker; once full, the oldest
+// entries are overwritten. Snapshots walk the slots and sort by start.
 type TraceBuffer struct {
 	slots []atomic.Pointer[SpanRecord]
 	mask  uint64
-	next  atomic.Uint64 // spans ever added
+	next  atomic.Uint64 // entries ever added
 }
 
 // NewTraceBuffer returns a buffer retaining the most recent capacity
-// spans (rounded up to a power of two, minimum 64).
+// entries (rounded up to a power of two, minimum 64).
 func NewTraceBuffer(capacity int) *TraceBuffer {
 	n := 64
 	for n < capacity {
@@ -78,54 +81,60 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 	return &TraceBuffer{slots: make([]atomic.Pointer[SpanRecord], n), mask: uint64(n - 1)}
 }
 
-// add retains one completed span, overwriting the oldest when full.
+// add retains one entry, overwriting the oldest when full.
 func (tb *TraceBuffer) add(rec *SpanRecord) {
-	if tb == nil || rec == nil {
-		return
-	}
 	i := tb.next.Add(1) - 1
 	tb.slots[i&tb.mask].Store(rec)
 }
 
-// Len returns the number of spans currently retained.
+// Len returns the number of entries retained, events included.
 func (tb *TraceBuffer) Len() int {
 	if tb == nil {
 		return 0
 	}
-	n := tb.next.Load()
-	if n > uint64(len(tb.slots)) {
-		return len(tb.slots)
-	}
-	return int(n)
+	return int(min(tb.next.Load(), uint64(len(tb.slots))))
 }
 
-// Dropped returns how many spans have been overwritten by newer ones.
+// Dropped returns how many entries have been overwritten by newer ones.
 func (tb *TraceBuffer) Dropped() int64 {
 	if tb == nil {
 		return 0
 	}
 	n := tb.next.Load()
-	if n <= uint64(len(tb.slots)) {
-		return 0
-	}
-	return int64(n - uint64(len(tb.slots)))
+	return int64(n - min(n, uint64(len(tb.slots))))
 }
 
-// Spans returns the retained spans sorted by start time. The copy is
-// taken slot by slot, so spans recorded concurrently with the snapshot
-// may or may not appear; every returned record is complete.
-func (tb *TraceBuffer) Spans() []SpanRecord {
+// recent returns the newest n entries by ring position, sorted by start
+// time with ties in ring order. Picking by ring position keeps a root
+// span, recorded when it ends, in the window of its children. The copy
+// is taken slot by slot, so entries recorded concurrently may or may
+// not appear; every returned record is complete.
+func (tb *TraceBuffer) recent(n int) []SpanRecord {
 	if tb == nil {
 		return nil
 	}
-	out := make([]SpanRecord, 0, len(tb.slots))
-	for i := range tb.slots {
-		if rec := tb.slots[i].Load(); rec != nil {
+	next := tb.next.Load()
+	lo := next - min(next, uint64(min(n, len(tb.slots)))) // first ring position kept
+	out := make([]SpanRecord, 0, next-lo)
+	for i := lo; i < next; i++ {
+		if rec := tb.slots[i&tb.mask].Load(); rec != nil {
 			out = append(out, *rec)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
+}
+
+// Spans returns the retained spans, not the events, by start time.
+func (tb *TraceBuffer) Spans() []SpanRecord {
+	all := tb.recent(tb.Len())
+	spans := all[:0]
+	for _, rec := range all {
+		if rec.Kind == "" {
+			spans = append(spans, rec)
+		}
+	}
+	return spans
 }
 
 // tracer is the process-default trace buffer; nil (the default) retains
@@ -134,47 +143,50 @@ var tracer atomic.Pointer[TraceBuffer]
 
 // SetTracer installs tb as the process-default trace buffer (nil
 // removes it) and returns the previous one.
-func SetTracer(tb *TraceBuffer) *TraceBuffer {
-	if tb == nil {
-		return tracer.Swap(nil)
-	}
-	return tracer.Swap(tb)
-}
+func SetTracer(tb *TraceBuffer) *TraceBuffer { return tracer.Swap(tb) }
 
 // Tracer returns the installed trace buffer, nil when tracing is off.
 func Tracer() *TraceBuffer { return tracer.Load() }
 
-// TracingEnabled reports whether ended spans are being retained: a
-// trace buffer is installed and instrumentation is globally enabled.
-func TracingEnabled() bool { return enabled.Load() && tracer.Load() != nil }
+// RecordEvent records one point event — a retry, a recovered panic, a
+// breaker transition — into the installed ring; a no-op (one atomic
+// load) when none is installed. A non-empty kind tells it from a span.
+// Attrs are stringified at record time (an unpaired key is dropped), so
+// a retained event never holds a live object.
+func RecordEvent(kind, name string, attrs ...any) {
+	tb := tracer.Load()
+	if tb == nil {
+		return
+	}
+	strs := make([]any, len(attrs)&^1)
+	for i := range strs {
+		strs[i] = fmt.Sprint(attrs[i])
+	}
+	tb.add(&SpanRecord{Kind: kind, Name: name, Start: time.Now(), Attrs: strs})
+}
 
 // RecordSpan injects one trace-only span with explicit timing under the
 // active span of ctx — the hook for amortized per-item attribution
 // inside a batched stage, where the batch is timed as a whole but the
 // timeline should still show which items it covered. The record goes to
-// the trace buffer only: no histogram sample and no flight-recorder
-// event, so synthesized attributions never contaminate the measured
-// latency series. It is a no-op without an installed buffer.
+// the ring only, never to a histogram, so synthesized attributions
+// never contaminate the measured latency series.
 func RecordSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...any) {
 	tb := tracer.Load()
-	if tb == nil || !enabled.Load() {
+	if tb == nil {
 		return
 	}
-	var traceID, parentID uint64
-	if sc, ok := SpanFromContext(ctx); ok {
-		traceID, parentID = sc.TraceID, sc.SpanID
-	} else {
-		traceID = newID()
-	}
+	traceID, parentID := parentOf(ctx)
 	tb.add(&SpanRecord{TraceID: traceID, SpanID: newID(), ParentID: parentID,
 		Name: name, Start: start, Dur: d, Attrs: attrs})
 }
 
-// WriteChromeTrace renders the retained spans as Chrome trace_event
-// JSON ("X" complete events, microsecond timestamps), loadable in
-// chrome://tracing and Perfetto. Every event's args carry the trace,
-// span and parent IDs in hex plus the span's attrs, so the tree is
-// machine-recoverable even where the visual nesting is approximate.
+// WriteChromeTrace renders the retained spans, not the point events,
+// as Chrome trace_event JSON ("X" complete events, microsecond
+// timestamps), loadable in chrome://tracing and Perfetto. Every event's
+// args carry the trace, span and parent IDs in hex plus the span's
+// attrs, so the tree is machine-recoverable even where the visual
+// nesting is approximate.
 //
 // Thread (tid) assignment packs each parent's children onto the
 // parent's row while they do not overlap in time and spills concurrent
@@ -226,20 +238,23 @@ func writeChromeEvent(w io.Writer, s SpanRecord, tid int) error {
 		dur = 0.001 // zero-width slices are dropped by some viewers
 	}
 	_, err := fmt.Fprintf(w,
-		`{"name":%q,"cat":"vortex","ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"trace":"%016x","span":"%016x","parent":"%016x"%s}}`,
-		s.Name, ts, dur, tid, s.TraceID, s.SpanID, s.ParentID, attrArgs(s.Attrs))
+		`{"name":%s,"cat":"vortex","ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"trace":"%016x","span":"%016x","parent":"%016x"%s}}`,
+		jsonString(s.Name), ts, dur, tid, s.TraceID, s.SpanID, s.ParentID, attrArgs(s.Attrs))
 	return err
 }
 
 // attrArgs renders slog-style attr pairs as extra JSON args, values
 // stringified so arbitrary types (durations, errors) stay valid JSON.
 func attrArgs(attrs []any) string {
-	if len(attrs) < 2 {
-		return ""
-	}
 	out := ""
 	for i := 0; i+1 < len(attrs); i += 2 {
-		out += fmt.Sprintf(",%q:%q", fmt.Sprint(attrs[i]), fmt.Sprint(attrs[i+1]))
+		out += "," + jsonString(fmt.Sprint(attrs[i])) + ":" + jsonString(fmt.Sprint(attrs[i+1]))
 	}
 	return out
+}
+
+// jsonString quotes s as a JSON string; invalid UTF-8 becomes U+FFFD.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }

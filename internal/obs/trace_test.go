@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,37 +76,6 @@ func TestStartSpanFromStartsFreshTrace(t *testing.T) {
 	}
 }
 
-// TestSpanEndHonorsDisableGate is the regression test for the End-side
-// gate: a span started while enabled but ended after SetEnabled(false)
-// must record nothing — no histogram sample, no trace record, no flight
-// event — so a measurement window closed with SetEnabled is not
-// contaminated by draining spans.
-func TestSpanEndHonorsDisableGate(t *testing.T) {
-	tb := withTracer(t, 64)
-	f := NewFlight(64)
-	prevF := SetFlight(f)
-	t.Cleanup(func() { SetFlight(prevF) })
-
-	r := NewRegistry()
-	ctx, sp := r.StartSpanCtx(context.Background(), "gated")
-	_ = ctx
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if d := sp.End(); d != 0 {
-		t.Errorf("End while disabled returned %v, want 0", d)
-	}
-	SetEnabled(true)
-	if n := r.Histogram("span.gated").Count(); n != 0 {
-		t.Errorf("histogram recorded %d samples through the closed gate", n)
-	}
-	if n := tb.Len(); n != 0 {
-		t.Errorf("trace buffer retained %d spans through the closed gate", n)
-	}
-	if evs := f.Events(); len(evs) != 0 {
-		t.Errorf("flight recorder kept %d events through the closed gate", len(evs))
-	}
-}
-
 func TestTraceBufferWrapAndDropped(t *testing.T) {
 	tb := NewTraceBuffer(64)
 	for i := 0; i < 100; i++ {
@@ -156,12 +126,18 @@ func TestRecordSpanIsTraceOnly(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceParsesAndNests also pins that a point event
+// shares the ring (Len counts it) but stays out of Spans and the export.
 func TestWriteChromeTraceParsesAndNests(t *testing.T) {
 	tb := withTracer(t, 64)
 	ctx, root := StartSpanCtx(context.Background(), "root", "k", "v")
 	_, child := StartSpanCtx(ctx, "child")
+	RecordEvent("retry", "trial", "trial", 1)
 	child.End()
 	root.End()
+	if tb.Len() != 3 || len(tb.Spans()) != 2 {
+		t.Fatalf("ring holds %d entries, %d spans; want 3, 2", tb.Len(), len(tb.Spans()))
+	}
 
 	var buf bytes.Buffer
 	if err := tb.WriteChromeTrace(&buf); err != nil {
@@ -238,20 +214,48 @@ func TestWriteChromeTraceSpillsConcurrentSiblings(t *testing.T) {
 	}
 }
 
+// TestTracingEnabledStates pins what installing a ring switches: with
+// none, spans still time into their histograms; with one, a context
+// span's End writes exactly one entry and a plain span none.
 func TestTracingEnabledStates(t *testing.T) {
-	if prev := SetTracer(nil); prev != nil {
-		defer SetTracer(prev)
+	prev := SetTracer(nil)
+	t.Cleanup(func() { SetTracer(prev) })
+	r := NewRegistry()
+	if _, sp := r.StartSpanCtx(context.Background(), "off"); Tracer() != nil || sp.End() <= 0 || r.Histogram("span.off").Count() != 1 {
+		t.Error("without a ring, a span must still time into its histogram")
 	}
-	if TracingEnabled() {
-		t.Error("TracingEnabled with no buffer installed")
+	tb := NewTraceBuffer(64)
+	SetTracer(tb)
+	_, sp := r.StartSpanCtx(context.Background(), "on")
+	sp.End()
+	r.StartSpan("plain").End()
+	if Tracer() != tb || tb.Len() != 1 {
+		t.Errorf("a context span and a plain span wrote %d ring entries, want 1", tb.Len())
 	}
-	withTracer(t, 64)
-	if !TracingEnabled() {
-		t.Error("TracingEnabled false with a buffer installed")
+}
+
+// TestWriteChromeTraceQuotesAsJSON: a span name and an attr holding
+// control bytes and invalid UTF-8 must leave the export valid JSON and
+// come back with only the invalid bytes replaced.
+func TestWriteChromeTraceQuotesAsJSON(t *testing.T) {
+	tb := NewTraceBuffer(64)
+	const name, key, val = "ctl\x01bell\abad\xffutf8", "k\x02\xfe", "v\x1f\xc3"
+	tb.add(&SpanRecord{SpanID: 1, Name: name, Start: time.Now(), Attrs: []any{key, val}})
+	var buf bytes.Buffer
+	if err := tb.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
 	}
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if TracingEnabled() {
-		t.Error("TracingEnabled true while instrumentation is disabled")
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.TraceEvents) != 1 {
+		t.Fatalf("export does not decode to one event: %v\n%s", err, buf.String())
+	}
+	valid := func(s string) string { return strings.ToValidUTF8(s, "\uFFFD") }
+	if ev := doc.TraceEvents[0]; ev.Name != valid(name) || ev.Args[valid(key)] != valid(val) {
+		t.Errorf("name %q, args %q; want %q and %q: %q", ev.Name, ev.Args, valid(name), valid(key), valid(val))
 	}
 }

@@ -23,9 +23,9 @@ type slowEngine struct {
 	delay time.Duration
 }
 
-func (e *slowEngine) ReadBatch(xs [][]float64) (fleet.BatchResult, error) {
+func (e *slowEngine) ReadBatchCtx(ctx context.Context, xs [][]float64) (fleet.BatchResult, error) {
 	time.Sleep(e.delay)
-	return e.stubEngine.ReadBatch(xs)
+	return e.stubEngine.ReadBatchCtx(ctx, xs)
 }
 
 // TestDrainUnderLoadZeroLoss is the drain e2e: JSON and binary clients

@@ -64,8 +64,8 @@ func (s *Server) enqueue(r *request) error {
 
 // worker is one batcher goroutine: it blocks for the next request,
 // takes whatever else is already queued (up to BatchMax) without
-// blocking, and routes the micro-batch into the engine's ReadBatch in
-// one call. Batches form only when requests queue behind busy workers;
+// blocking, and routes the micro-batch into the engine's ReadBatchCtx
+// in one call. Batches form only when requests queue behind busy workers;
 // an idle server answers each request alone. Workers keep running
 // through a drain — they are what flushes the queue — and exit only
 // when the drain has emptied it and closed stopWorkers.
@@ -170,8 +170,7 @@ func (s *Server) runBatch(batch []*request, xs [][]float64) {
 	s.gQueue.Set(float64(len(s.queue)))
 }
 
-// readBatch routes one micro-batch into the engine — through the
-// context-aware path when the engine supports it — with the worker's
+// readBatch routes one micro-batch into the engine with the worker's
 // panic firewall: an engine panic becomes an error answer for the
 // batch, never a dead batcher goroutine (which would strand every
 // queued request and break the admitted⇒answered contract).
@@ -183,10 +182,7 @@ func (s *Server) readBatch(ctx context.Context, xs [][]float64) (res fleet.Batch
 			err = fmt.Errorf("serve: engine panic: %v", p)
 		}
 	}()
-	if ce, ok := s.cfg.Engine.(CtxEngine); ok {
-		return ce.ReadBatchCtx(ctx, xs)
-	}
-	return s.cfg.Engine.ReadBatch(xs)
+	return s.cfg.Engine.ReadBatchCtx(ctx, xs)
 }
 
 // answerTimeout answers one admitted request with the typed deadline

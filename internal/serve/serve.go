@@ -5,13 +5,13 @@
 // flows through one bounded queue with explicit backpressure (HTTP 429 +
 // Retry-After when full), and batcher workers coalesce queued requests
 // into micro-batches that enter the fleet through the zero-alloc
-// ReadBatch path. Graceful drain stops accepting, flushes everything
+// ReadBatchCtx path. Graceful drain stops accepting, flushes everything
 // already admitted, and reports the served count — an admitted request
 // is never dropped by shutdown.
 //
 // Concurrency model: the fleet router is safe for concurrent use (each
 // member serializes its hardware behind one mutex, DESIGN.md §11), so
-// any number of batcher workers may call ReadBatch concurrently — the
+// any number of batcher workers may call ReadBatchCtx concurrently — the
 // server adds no locking of its own around the hardware. The queue is a
 // buffered channel; admission (enqueue), the in-flight WaitGroup and
 // the serve counters are the only shared state, all lock-free. See
@@ -38,18 +38,10 @@ import (
 // micro-batches into. *fleet.Fleet implements it; tests substitute
 // stubs to script latency and failures.
 type Engine interface {
-	// ReadBatch answers a batch of classification reads in one call.
-	ReadBatch(xs [][]float64) (fleet.BatchResult, error)
-}
-
-// CtxEngine is the optional Engine refinement that accepts a context
-// bounding the batch read. When the engine implements it (fleet.Fleet
-// does, via ReadBatchCtx), the batcher workers hand it a context
-// carrying the batch's latest request deadline, so a fleet read that
-// nobody is waiting for anymore stops failing over dead members.
-type CtxEngine interface {
-	// ReadBatchCtx answers a batch of classification reads, honoring
-	// the context between internal failover hops.
+	// ReadBatchCtx answers a batch of classification reads in one call.
+	// The workers pass a context carrying the batch's latest request
+	// deadline, so a fleet read that nobody is waiting for anymore
+	// stops failing over dead members.
 	ReadBatchCtx(ctx context.Context, xs [][]float64) (fleet.BatchResult, error)
 }
 
@@ -335,9 +327,9 @@ func (s *Server) dispatch(c net.Conn) {
 }
 
 // recoverConn is the per-connection panic firewall: it swallows a
-// handler panic, counts it, records a flight-recorder event and closes
-// the connection — one poisoned connection must never take the server
-// down.
+// handler panic, counts it, records a panic event in the obs ring and
+// closes the connection — one poisoned connection must never take the
+// server down.
 func (s *Server) recoverConn(c net.Conn) {
 	if p := recover(); p != nil {
 		s.cConnPanics.Inc()

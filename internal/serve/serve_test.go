@@ -24,12 +24,12 @@ import (
 type stubEngine struct {
 	mu         sync.Mutex
 	batchSizes []int
-	gate       chan struct{} // when non-nil, ReadBatch blocks until it closes
-	fail       atomic.Bool   // when set, ReadBatch errors
+	gate       chan struct{} // when non-nil, ReadBatchCtx blocks until it closes
+	fail       atomic.Bool   // when set, ReadBatchCtx errors
 	calls      atomic.Int64
 }
 
-func (e *stubEngine) ReadBatch(xs [][]float64) (fleet.BatchResult, error) {
+func (e *stubEngine) ReadBatchCtx(_ context.Context, xs [][]float64) (fleet.BatchResult, error) {
 	e.calls.Add(1)
 	if e.gate != nil {
 		<-e.gate

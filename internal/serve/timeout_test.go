@@ -15,7 +15,7 @@ import (
 	"vortex/internal/fleet"
 )
 
-// slowCtxEngine is a CtxEngine that never answers: it blocks until the
+// slowCtxEngine is an Engine that never answers: it blocks until the
 // batch context dies and reports its error, the way a fleet read
 // abandoned between failover hops does.
 type slowCtxEngine struct {
@@ -28,18 +28,19 @@ func (e *slowCtxEngine) ReadBatchCtx(ctx context.Context, xs [][]float64) (fleet
 	return fleet.BatchResult{}, fmt.Errorf("slow engine: %w", ctx.Err())
 }
 
-// panicEngine panics inside ReadBatch while armed — the worker's panic
-// firewall must turn that into an error answer, not a dead batcher.
+// panicEngine panics inside ReadBatchCtx while armed — the worker's
+// panic firewall must turn that into an error answer, not a dead
+// batcher.
 type panicEngine struct {
 	stubEngine
 	boom atomic.Bool
 }
 
-func (e *panicEngine) ReadBatch(xs [][]float64) (fleet.BatchResult, error) {
+func (e *panicEngine) ReadBatchCtx(ctx context.Context, xs [][]float64) (fleet.BatchResult, error) {
 	if e.boom.Load() {
 		panic("kaboom")
 	}
-	return e.stubEngine.ReadBatch(xs)
+	return e.stubEngine.ReadBatchCtx(ctx, xs)
 }
 
 // TestRequestTimeoutHTTP pins queue-side deadline shedding: a request
@@ -142,9 +143,9 @@ func TestRequestTimeoutBinary(t *testing.T) {
 	}
 }
 
-// TestCtxEngineDeadline pins in-engine deadline propagation: a
-// CtxEngine that blocks sees its batch context expire at the latest
-// request deadline, and the requests get the typed timeout.
+// TestCtxEngineDeadline pins in-engine deadline propagation: an engine
+// that blocks sees its batch context expire at the latest request
+// deadline, and the requests get the typed timeout.
 func TestCtxEngineDeadline(t *testing.T) {
 	eng := &slowCtxEngine{}
 	s, addr := startServer(t, Config{
