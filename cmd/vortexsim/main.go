@@ -216,7 +216,7 @@ func run() int {
 		for _, r := range runners {
 			fmt.Printf("  %-9s %s\n", r.Name, r.Description)
 		}
-		fmt.Println("  all       run everything")
+		fmt.Println("  all       run everything except crashdemo")
 		return exitOK
 	}
 	sc, err := experiment.ParseScale(*scale)
@@ -230,19 +230,13 @@ func run() int {
 		return exitUsage
 	}
 
-	var toRun []experiment.Runner
-	if *exp == "all" {
-		toRun = runners
-	} else {
-		r, ok := experiment.Lookup(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-			if close := experiment.Closest(*exp, 3); len(close) > 0 {
-				fmt.Fprintf(os.Stderr, "did you mean: %s\n", strings.Join(close, ", "))
-			}
-			return exitUsage
+	toRun, ok := runList(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
+		if close := experiment.Closest(*exp, 3); len(close) > 0 {
+			fmt.Fprintf(os.Stderr, "did you mean: %s\n", strings.Join(close, ", "))
 		}
-		toRun = []experiment.Runner{r}
+		return exitUsage
 	}
 
 	// Ctrl-C (or the -timeout deadline) cancels the context; drivers
@@ -441,6 +435,17 @@ func writePromMetrics(path string) error {
 		return fmt.Errorf("vortexsim: writing prometheus metrics: %w", werr)
 	}
 	return nil
+}
+
+// runList resolves an -exp value to the runners to run: "all" is
+// experiment.All (every runner but crashdemo), anything else names one
+// registered runner. ok is false for an unknown name.
+func runList(exp string) (toRun []experiment.Runner, ok bool) {
+	if exp == "all" {
+		return experiment.All(), true
+	}
+	r, ok := experiment.Lookup(exp)
+	return []experiment.Runner{r}, ok
 }
 
 // abortCode classifies a run-ending error: the -timeout deadline and a

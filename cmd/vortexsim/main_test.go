@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vortex/internal/experiment"
 	"vortex/internal/obs"
 )
 
@@ -62,5 +63,33 @@ func TestBuildManifest(t *testing.T) {
 	}
 	if m.GoVersion == "" || m.GOMAXPROCS < 1 || m.KernelISA == "" || m.PID == 0 {
 		t.Errorf("manifest environment incomplete: %+v", m)
+	}
+}
+
+// TestRunListAll pins what "-exp all" runs: every registered runner
+// except crashdemo, which panics by design and stays runnable by name.
+func TestRunListAll(t *testing.T) {
+	all, ok := runList("all")
+	if !ok {
+		t.Fatal(`runList("all") not ok`)
+	}
+	var want []string
+	for _, r := range experiment.Runners() {
+		if r.Name != "crashdemo" {
+			want = append(want, r.Name)
+		}
+	}
+	var got []string
+	for _, r := range all {
+		got = append(got, r.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("-exp all runs %v, want %v", got, want)
+	}
+	if demo, ok := runList("crashdemo"); !ok || len(demo) != 1 || demo[0].Name != "crashdemo" {
+		t.Errorf(`runList("crashdemo") = %v, %v; want the crashdemo runner`, demo, ok)
+	}
+	if _, ok := runList("no-such-runner"); ok {
+		t.Error("runList accepted an unknown name")
 	}
 }

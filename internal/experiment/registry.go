@@ -170,6 +170,19 @@ func Runners() []Runner {
 	return out
 }
 
+// All returns the runners "vortexsim -exp all" runs and the golden
+// digests pin, sorted by name: every registered runner except
+// crashdemo, which panics by design and stays runnable by name.
+func All() []Runner {
+	var out []Runner
+	for _, r := range Runners() {
+		if r.Name != "crashdemo" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Closest returns up to max registered names ranked by edit distance to
 // name — the "did you mean" list for an unknown -exp value.
 func Closest(name string, max int) []string {

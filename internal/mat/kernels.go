@@ -22,11 +22,13 @@ var mulVecLanesActive mulVecLanesFunc = mulVecLanesGeneric
 // "avx512").
 var kernelISAName = "generic"
 
-// mulVecLanes80Active, when non-nil, is a register-resident
-// specialization for l == 80 — the 10-column, 8-lane classifier-read
-// shape — that keeps the whole accumulator block in vector registers
-// across all rows. Bit-identical to the general kernels.
-var mulVecLanes80Active func(dst, data, x []float64)
+// mulVecLanes80Active and mulVecLanes24Active, when non-nil, are
+// register-resident specializations that keep the whole accumulator
+// block in vector registers across all rows: l == 80 is the 10-column,
+// 8-lane classifier-read shape of the trial tensors, l == 24 the fused
+// differential pair of one 10-class system (MulVecBlockTo). Both are
+// bit-identical to the general kernels.
+var mulVecLanes80Active, mulVecLanes24Active func(dst, data, x []float64)
 
 // mulVecLanes runs the active fused-kernel implementation, falling back
 // to the generic one when the lane-block length does not meet the SIMD
@@ -34,6 +36,10 @@ var mulVecLanes80Active func(dst, data, x []float64)
 func mulVecLanes(dst, data, x []float64, l int) {
 	if l == 80 && mulVecLanes80Active != nil {
 		mulVecLanes80Active(dst, data, x)
+		return
+	}
+	if l == 24 && mulVecLanes24Active != nil {
+		mulVecLanes24Active(dst, data, x)
 		return
 	}
 	if l%TrialLanes != 0 {
@@ -61,6 +67,32 @@ func mulVecLanesGeneric(dst, data, x []float64, l int) {
 			dst[k] += xi * w
 		}
 	}
+}
+
+// MulVecBlockTo computes the read y = x * B of a row-major block B with
+// len(x) rows and width len(dst): dst[k] = sum_i x[i]*data[i*len(dst)+k],
+// overwriting dst. Matrices that share one drive vector can sit side by
+// side in B and be read in one call — ncs reads a differential pair's
+// positive and negative arrays this way — and a width padded to a
+// multiple of TrialLanes keeps the call on the SIMD kernels.
+//
+// Every output is one IEEE-754 chain over the rows in ascending order,
+// multiplied then added with separate instructions, so for finite data
+// each column block is bit-identical to Matrix.MulVecTo (zero drive
+// rows are processed rather than skipped; see mulVecLanesGeneric). It
+// allocates nothing.
+func MulVecBlockTo(dst, data, x []float64) {
+	l := len(dst)
+	if len(data) != len(x)*l {
+		panic("mat: MulVecBlockTo dimension mismatch")
+	}
+	for k := range dst {
+		dst[k] = 0
+	}
+	if l == 0 {
+		return
+	}
+	mulVecLanes(dst, data, x, l)
 }
 
 // KernelISA reports which fused-kernel implementation is active:

@@ -3,9 +3,9 @@
 package mat
 
 // SIMD feature detection and kernel selection for amd64. The assembly
-// kernels live in kernels_amd64.s; both vectorize across trial lanes
-// with separate VMULPD/VADDPD (never FMA), so their results are
-// bit-identical to the generic Go loop.
+// kernels live in kernels_amd64.s; all of them vectorize across output
+// columns only, with separate VMULPD/VADDPD (never FMA), so their
+// results are bit-identical to the generic Go loop.
 
 // Implemented in kernels_amd64.s.
 func mulVecLanesAVX2(dst, data, x []float64, l int)
@@ -15,6 +15,9 @@ func mulVecLanesAVX512(dst, data, x []float64, l int)
 
 // Implemented in kernels_amd64.s.
 func mulVecLanes80AVX512(dst, data, x []float64)
+
+// Implemented in kernels_amd64.s.
+func mulVecLanes24AVX512(dst, data, x []float64)
 
 // Implemented in kernels_amd64.s.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -70,12 +73,12 @@ func installKernelISA(name string) {
 	switch {
 	case want == "avx512" && hasAVX512:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX512, "avx512"
-		mulVecLanes80Active = mulVecLanes80AVX512
+		mulVecLanes80Active, mulVecLanes24Active = mulVecLanes80AVX512, mulVecLanes24AVX512
 	case (want == "avx512" || want == "avx2") && hasAVX2:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX2, "avx2"
-		mulVecLanes80Active = nil
+		mulVecLanes80Active, mulVecLanes24Active = nil, nil
 	default:
 		mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
-		mulVecLanes80Active = nil
+		mulVecLanes80Active, mulVecLanes24Active = nil, nil
 	}
 }

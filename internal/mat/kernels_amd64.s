@@ -1,4 +1,4 @@
-// Fused trial-lane kernels (see kernels.go). Both entry points compute
+// Fused trial-lane kernels (see kernels.go). Every entry point computes
 //
 //	dst[k] += x[i] * data[i*l + k]   for every row i
 //
@@ -142,6 +142,43 @@ r80_done:
 	VMOVUPD Z12, 448(DI)
 	VMOVUPD Z13, 512(DI)
 	VMOVUPD Z14, 576(DI)
+	VZEROUPPER
+	RET
+
+// func mulVecLanes24AVX512(dst, data, x []float64)
+//
+// Specialization of mulVecLanesAVX512 for l == 24 (a 10-class
+// differential pair fused as 10 positive, 10 negative and 4 padding
+// columns): the 24-double accumulator block lives in three ZMM
+// registers for the entire call, so the per-row inner loop issues only
+// loads. Bit-identical to the generic loop for the same reasons as
+// above.
+TEXT ·mulVecLanes24AVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ data_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), CX
+	VMOVUPD (DI), Z5
+	VMOVUPD 64(DI), Z6
+	VMOVUPD 128(DI), Z7
+	XORQ R9, R9            // i
+r24_rows:
+	CMPQ R9, CX
+	JGE  r24_done
+	VBROADCASTSD (DX)(R9*8), Z0 // x[i]
+	VMULPD (SI), Z0, Z16
+	VADDPD Z16, Z5, Z5
+	VMULPD 64(SI), Z0, Z17
+	VADDPD Z17, Z6, Z6
+	VMULPD 128(SI), Z0, Z18
+	VADDPD Z18, Z7, Z7
+	ADDQ $192, SI          // next row: &data[(i+1)*24]
+	INCQ R9
+	JMP  r24_rows
+r24_done:
+	VMOVUPD Z5, (DI)
+	VMOVUPD Z6, 64(DI)
+	VMOVUPD Z7, 128(DI)
 	VZEROUPPER
 	RET
 

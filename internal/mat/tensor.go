@@ -108,17 +108,10 @@ func (g *Tensor3) MulVecLanesTo(dst, x []float64) {
 	if len(x) != g.Rows {
 		panic("mat: MulVecLanesTo dimension mismatch")
 	}
-	l := g.Cols * g.Lanes
-	if len(dst) != l {
+	if len(dst) != g.Cols*g.Lanes {
 		panic("mat: MulVecLanesTo dst length mismatch")
 	}
-	for k := range dst {
-		dst[k] = 0
-	}
-	if l == 0 {
-		return
-	}
-	mulVecLanes(dst, g.Data, x, l)
+	MulVecBlockTo(dst, g.Data, x)
 }
 
 // ScaleLanesTo writes dst[k] = alpha * src[k] over one lane block of

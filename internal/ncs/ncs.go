@@ -103,14 +103,22 @@ type NCS struct {
 	chain  *adc.SenseChain
 	rowMap []int // logical row -> physical row
 
-	// cached effective read weights; invalidated by programming
-	weffPos, weffNeg *mat.Matrix
+	// weff caches both arrays' effective read weights as one fused
+	// row-major block, so a read is one mat.MulVecBlockTo call: physical
+	// row q holds the positive array's row, then the negative array's,
+	// then zero padding up to width, the smallest multiple of
+	// mat.TrialLanes that fits both (24 for 10 classes). Programming
+	// clears weffOK; the next read refills the same backing array.
+	weff   []float64
+	width  int
+	weffOK bool
 
-	// reusable scoring scratch (physical drive vector and per-array
-	// column currents), so steady-state Scores/Evaluate loops allocate
-	// only their outputs. An NCS, like the arrays under it, is not safe
-	// for concurrent use; Monte-Carlo loops give each trial its own.
-	scrV, scrIP, scrIN []float64
+	// reusable scoring scratch (physical drive vector and the fused
+	// column currents, positive then negative), so steady-state
+	// Scores/Evaluate loops allocate only their outputs. An NCS, like
+	// the arrays under it, is not safe for concurrent use; Monte-Carlo
+	// loops give each trial its own.
+	scrV, scrI []float64
 }
 
 // New fabricates an NCS; the rng source drives fabrication variation for
@@ -157,6 +165,7 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		codec:  codec,
 		chain:  chain,
 		rowMap: IdentityMap(cfg.Inputs),
+		width:  (2*cfg.Outputs + mat.TrialLanes - 1) / mat.TrialLanes * mat.TrialLanes,
 	}, nil
 }
 
@@ -222,7 +231,7 @@ func (n *NCS) SetRowMap(m []int) error {
 // Invalidate drops the cached effective read weights; call after any
 // direct programming of the arrays.
 func (n *NCS) Invalidate() {
-	n.weffPos, n.weffNeg = nil, nil
+	n.weffOK = false
 }
 
 // ProgramWeights encodes and programs a logical weight matrix (Inputs x
@@ -255,22 +264,31 @@ func (n *NCS) ProgramWeights(w *mat.Matrix, opts hw.ProgramOptions) error {
 	return nil
 }
 
-// effective returns (computing if needed) the cached effective read
-// weight matrices of both arrays.
-func (n *NCS) effective() (pos, neg *mat.Matrix, err error) {
-	if n.weffPos == nil {
-		n.weffPos, err = n.Pos.EffectiveWeights()
-		if err != nil {
-			return nil, nil, err
-		}
+// effective returns (filling it if needed) the cached fused block of
+// both arrays' effective read weights.
+func (n *NCS) effective() ([]float64, error) {
+	if n.weffOK {
+		return n.weff, nil
 	}
-	if n.weffNeg == nil {
-		n.weffNeg, err = n.Neg.EffectiveWeights()
-		if err != nil {
-			return nil, nil, err
-		}
+	pos, err := n.Pos.EffectiveWeights()
+	if err != nil {
+		return nil, err
 	}
-	return n.weffPos, n.weffNeg, nil
+	neg, err := n.Neg.EffectiveWeights()
+	if err != nil {
+		return nil, err
+	}
+	rows, out := n.PhysRows(), n.cfg.Outputs
+	if len(n.weff) != rows*n.width {
+		n.weff = make([]float64, rows*n.width)
+	}
+	for q := 0; q < rows; q++ {
+		row := n.weff[q*n.width : (q+1)*n.width]
+		copy(row, pos.Row(q))
+		copy(row[out:], neg.Row(q)) // the padding is never written: it stays 0
+	}
+	n.weffOK = true
+	return n.weff, nil
 }
 
 // driveVectorInto expands a logical input vector to physical row
@@ -313,8 +331,11 @@ func (n *NCS) ScoresThrough(x []float64, chain *adc.SenseChain) ([]float64, erro
 }
 
 // scoresInto is the allocation-free scoring core shared by Scores,
-// ScoresBatch and Evaluate: drive expansion and both per-array reads run
-// in the NCS's reusable scratch buffers.
+// ScoresThrough, ScoresBatch and Evaluate: drive expansion and the fused
+// read of both arrays run in the NCS's reusable scratch buffers. The
+// read is one kernel call over the fused block; every column current is
+// still one ascending-row chain of separate multiplies and adds, so it
+// is bit-identical to reading each array with Matrix.MulVecTo.
 func (n *NCS) scoresInto(dst, x []float64, chain *adc.SenseChain) error {
 	if len(x) != n.cfg.Inputs {
 		return errors.New("ncs: input length mismatch")
@@ -322,23 +343,22 @@ func (n *NCS) scoresInto(dst, x []float64, chain *adc.SenseChain) error {
 	if chain == nil {
 		chain = adc.Ideal()
 	}
-	wp, wn, err := n.effective()
+	w, err := n.effective()
 	if err != nil {
 		return err
 	}
 	if len(n.scrV) != n.PhysRows() {
 		n.scrV = make([]float64, n.PhysRows())
-		n.scrIP = make([]float64, n.cfg.Outputs)
-		n.scrIN = make([]float64, n.cfg.Outputs)
+		n.scrI = make([]float64, n.width)
 	}
 	n.driveVectorInto(n.scrV, x)
-	wp.MulVecTo(n.scrIP, n.scrV)
-	wn.MulVecTo(n.scrIN, n.scrV)
+	mat.MulVecBlockTo(n.scrI, w, n.scrV)
 	scale := n.codec.Scale(n.cfg.Vread)
+	out := n.cfg.Outputs
 	for j := range dst {
 		// Differential sensing: the column pair's current difference is
 		// formed in analog and quantized once.
-		dst[j] = chain.Sense(n.scrIP[j]-n.scrIN[j]) * scale
+		dst[j] = chain.Sense(n.scrI[j]-n.scrI[out+j]) * scale
 	}
 	return nil
 }
@@ -346,8 +366,8 @@ func (n *NCS) scoresInto(dst, x []float64, chain *adc.SenseChain) error {
 // ScoresBatch computes output scores for a batch of logical input
 // vectors in one call — the digit-batch evaluation path. The effective
 // weights are resolved once for the whole batch and every per-sample
-// buffer is reused, so per-sample cost drops to two matrix-vector
-// products. The returned rows share one backing allocation.
+// buffer is reused, so per-sample cost drops to one fused read of both
+// arrays. The returned rows share one backing allocation.
 func (n *NCS) ScoresBatch(xs [][]float64) ([][]float64, error) {
 	out := hw.AllocBatch(len(xs), n.cfg.Outputs)
 	for k, x := range xs {

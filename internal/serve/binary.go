@@ -59,6 +59,12 @@ const maxFrameFloats = 1 << 20
 // fires, or drain pokes the idle read. Each frame is admitted through
 // the same queue as HTTP requests.
 //
+// The connection decodes every request into one reused vector and
+// encodes every response into one reused buffer, written with a single
+// Write. Reusing the vector is safe because submit blocks until the
+// worker has answered, and an Engine must not keep its inputs after
+// ReadBatchCtx returns.
+//
 // Timeout discipline (the binary slowloris defense): waiting for the
 // next frame's first byte is bounded by IdleTimeout; once a frame has
 // started, the rest of it must arrive within ReadTimeout — a client
@@ -74,24 +80,24 @@ func (s *Server) handleBinary(c net.Conn) {
 		s.connsMu.Unlock()
 		c.Close()
 	}()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	fr := newFrameReader(c, s.cfg.Inputs)
+	var out []byte
 	for {
 		// Idle phase: wait (bounded) for the next frame to start.
 		s.setReadDeadline(c, s.cfg.IdleTimeout)
-		if _, err := br.Peek(1); err != nil {
+		if _, err := fr.br.Peek(1); err != nil {
 			return // EOF, idle timeout, or the drain poke
 		}
 		// Frame phase: the whole frame must land within ReadTimeout.
 		s.setReadDeadline(c, s.cfg.ReadTimeout)
-		x, err := readRequestFrame(br, s.cfg.Inputs)
+		x, err := fr.next()
 		if err != nil {
 			if errors.Is(err, errBadFrame) {
 				// Dimension/validity rejection: answer and keep the
 				// connection — the framing itself is still in sync.
 				c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				writeErrorFrame(bw, StatusBadRequest, 0, err.Error())
-				bw.Flush()
+				out = appendErrorFrame(out[:0], StatusBadRequest, 0, err.Error())
+				c.Write(out)
 				continue
 			}
 			return // torn frame, oversized header, or mid-frame stall
@@ -101,17 +107,17 @@ func (s *Server) handleBinary(c net.Conn) {
 		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			writeErrorFrame(bw, StatusOverloaded, s.cfg.RetryAfter, err.Error())
+			out = appendErrorFrame(out[:0], StatusOverloaded, s.cfg.RetryAfter, err.Error())
 		case errors.Is(err, ErrDraining):
-			writeErrorFrame(bw, StatusDraining, s.cfg.RetryAfter, err.Error())
+			out = appendErrorFrame(out[:0], StatusDraining, s.cfg.RetryAfter, err.Error())
 		case errors.Is(err, ErrDeadlineExceeded):
-			writeErrorFrame(bw, StatusDeadlineExceeded, 0, err.Error())
+			out = appendErrorFrame(out[:0], StatusDeadlineExceeded, 0, err.Error())
 		case err != nil:
-			writeErrorFrame(bw, StatusInternal, 0, err.Error())
+			out = appendErrorFrame(out[:0], StatusInternal, 0, err.Error())
 		default:
-			writeOKFrame(bw, cls)
+			out = appendOKFrame(out[:0], cls)
 		}
-		if ferr := bw.Flush(); ferr != nil {
+		if _, werr := c.Write(out); werr != nil {
 			return
 		}
 		if err == nil {
@@ -140,102 +146,113 @@ func (s *Server) setReadDeadline(c net.Conn, d time.Duration) {
 // connection survives); any other read error tears the connection.
 var errBadFrame = errors.New("bad frame")
 
-// readRequestFrame reads one [count][floats] frame and validates it
-// against the expected input dimension. The max-frame guard runs
-// before any payload allocation: a hostile length prefix above
-// maxFrameFloats tears the connection without allocating, and a
+// frameReader decodes one connection's request frames. Its reader
+// holds one whole frame (4 + 8·inputs bytes, sized from Config.Inputs),
+// so a valid payload decodes straight out of the read buffer into the
+// reused vector x: steady-state frames allocate nothing.
+type frameReader struct {
+	br *bufio.Reader
+	x  []float64
+}
+
+// newFrameReader returns the request decoder for a connection whose
+// frames must carry inputs values.
+func newFrameReader(r io.Reader, inputs int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 4+8*inputs), x: make([]float64, inputs)}
+}
+
+// next reads one [count][floats] frame and validates it against the
+// expected input dimension, returning the decoded vector (fr.x, valid
+// until the next call). The max-frame guard runs first: a hostile
+// length prefix above maxFrameFloats tears the connection, and a
 // wrong-dimension (but sane) count streams its payload to discard —
 // keeping the framing in sync for the in-sync rejection — so the
-// server's allocation is always bounded by its own input dimension,
-// never by a byte the client chose.
-func readRequestFrame(r io.Reader, inputs int) ([]float64, error) {
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+// server's memory is always bounded by its own input dimension, never
+// by a byte the client chose. A frame with a non-finite value is
+// consumed whole before it is rejected, for the same reason.
+func (fr *frameReader) next() ([]float64, error) {
+	head, err := take(fr.br, 4)
+	if err != nil {
 		return nil, err
 	}
+	count := binary.LittleEndian.Uint32(head)
 	if count == 0 || count > maxFrameFloats {
 		// Hard reject, connection torn: a length prefix this far out of
 		// range means the stream is garbage (or hostile), and consuming
 		// gigabytes to "stay in sync" would be the attack succeeding.
 		return nil, fmt.Errorf("serve: frame count %d out of range", count)
 	}
-	if int(count) != inputs {
+	if int(count) != len(fr.x) {
 		// In-sync rejection: drain the advertised payload to discard
 		// (no allocation proportional to the hostile count), then
 		// answer StatusBadRequest and keep the connection.
-		if _, err := io.CopyN(io.Discard, r, 8*int64(count)); err != nil {
+		if _, err := io.CopyN(io.Discard, fr.br, 8*int64(count)); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("%w: input length %d, want %d", errBadFrame, count, inputs)
+		return nil, fmt.Errorf("%w: input length %d, want %d", errBadFrame, count, len(fr.x))
 	}
-	buf := make([]byte, 8*int(count))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	payload, err := take(fr.br, 8*len(fr.x))
+	if err != nil {
 		return nil, err
 	}
-	x := make([]float64, count)
-	for i := range x {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	for i := range fr.x {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("%w: non-finite value at %d", errBadFrame, i)
 		}
-		x[i] = v
+		fr.x[i] = v
 	}
-	return x, nil
+	return fr.x, nil
 }
 
-// writeRequestFrame writes one input vector as a request frame.
-func writeRequestFrame(w io.Writer, x []float64) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(x))); err != nil {
-		return err
+// take consumes the next n bytes of r and returns them in place: the
+// slice aliases r's buffer and is valid until r's next read, so n must
+// not exceed r's size. Like io.ReadFull it reports io.EOF only when no
+// byte was left, and io.ErrUnexpectedEOF for a torn read.
+func take(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	buf := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+	r.Discard(n)
+	return b, nil
 }
 
-// writeOKFrame writes a StatusOK response frame.
-func writeOKFrame(w io.Writer, cls Classification) error {
+// appendRequestFrame appends one input vector's request frame to dst.
+func appendRequestFrame(dst []byte, x []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
+	for _, v := range x {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// appendOKFrame appends a StatusOK response frame to dst.
+func appendOKFrame(dst []byte, cls Classification) []byte {
 	var deg byte
 	if cls.Degraded {
 		deg = 1
 	}
-	if _, err := w.Write([]byte{StatusOK}); err != nil {
-		return err
+	dst = append(dst, StatusOK)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(cls.Class)))
+	dst = append(dst, deg)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cls.Scores)))
+	for _, v := range cls.Scores {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	if err := binary.Write(w, binary.LittleEndian, int32(cls.Class)); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{deg}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(cls.Scores))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(cls.Scores))
-	for i, v := range cls.Scores {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+	return dst
 }
 
-// writeErrorFrame writes a non-OK response frame with the retry hint
-// and message.
-func writeErrorFrame(w io.Writer, status byte, retryAfter time.Duration, msg string) error {
-	if _, err := w.Write([]byte{status}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(retryAfter.Milliseconds())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(msg))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, msg)
-	return err
+// appendErrorFrame appends a non-OK response frame with the retry hint
+// and message to dst.
+func appendErrorFrame(dst []byte, status byte, retryAfter time.Duration, msg string) []byte {
+	dst = append(dst, status)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(retryAfter.Milliseconds()))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(msg)))
+	return append(dst, msg...)
 }
 
 // RemoteError is a non-OK binary response decoded by the client.
@@ -266,13 +283,14 @@ func (e *RemoteError) Overloaded() bool {
 func (e *RemoteError) Timeout() bool { return e.Status == StatusDeadlineExceeded }
 
 // BinaryClient is a client for the binary hot path: one connection,
-// synchronous request/response. It is not safe for concurrent use;
-// open one per goroutine (that is also what feeds the server's
-// micro-batcher).
+// synchronous request/response. Each request frame is encoded into a
+// buffer kept on the client and sent with one Write. It is not safe for
+// concurrent use; open one per goroutine (that is also what feeds the
+// server's micro-batcher).
 type BinaryClient struct {
 	conn    net.Conn
 	r       *bufio.Reader
-	w       *bufio.Writer
+	frame   []byte // the last request frame; its capacity is reused
 	timeout time.Duration
 }
 
@@ -287,7 +305,7 @@ func DialBinary(addr string, timeout time.Duration) (*BinaryClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &BinaryClient{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &BinaryClient{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // SetTimeout bounds every subsequent Classify round-trip: the request
@@ -301,10 +319,8 @@ func (c *BinaryClient) Classify(x []float64) (Classification, error) {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if err := writeRequestFrame(c.w, x); err != nil {
-		return Classification{}, err
-	}
-	if err := c.w.Flush(); err != nil {
+	c.frame = appendRequestFrame(c.frame[:0], x)
+	if _, err := c.conn.Write(c.frame); err != nil {
 		return Classification{}, err
 	}
 	return readResponseFrame(c.r)
@@ -313,20 +329,19 @@ func (c *BinaryClient) Classify(x []float64) (Classification, error) {
 // Close closes the connection.
 func (c *BinaryClient) Close() error { return c.conn.Close() }
 
-// readResponseFrame decodes one response frame.
-func readResponseFrame(r io.Reader) (Classification, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
+// readResponseFrame decodes one response frame. It allocates only what
+// it returns: the score vector, or the error and its message.
+func readResponseFrame(r *bufio.Reader) (Classification, error) {
+	status, err := r.ReadByte()
+	if err != nil {
 		return Classification{}, err
 	}
-	if status[0] != StatusOK {
-		var retryMs, msgLen uint32
-		if err := binary.Read(r, binary.LittleEndian, &retryMs); err != nil {
+	if status != StatusOK {
+		head, err := take(r, 8)
+		if err != nil {
 			return Classification{}, err
 		}
-		if err := binary.Read(r, binary.LittleEndian, &msgLen); err != nil {
-			return Classification{}, err
-		}
+		retryMs, msgLen := binary.LittleEndian.Uint32(head), binary.LittleEndian.Uint32(head[4:])
 		if msgLen > 1<<16 {
 			return Classification{}, errors.New("serve: oversized error message")
 		}
@@ -335,33 +350,26 @@ func readResponseFrame(r io.Reader) (Classification, error) {
 			return Classification{}, err
 		}
 		return Classification{}, &RemoteError{
-			Status:     status[0],
+			Status:     status,
 			RetryAfter: time.Duration(retryMs) * time.Millisecond,
 			Msg:        string(msg),
 		}
 	}
-	var cls int32
-	if err := binary.Read(r, binary.LittleEndian, &cls); err != nil {
+	head, err := take(r, 9) // [i32 class][u8 degraded][u32 n]
+	if err != nil {
 		return Classification{}, err
 	}
-	var deg [1]byte
-	if _, err := io.ReadFull(r, deg[:]); err != nil {
-		return Classification{}, err
-	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return Classification{}, err
-	}
+	cls, deg, n := int32(binary.LittleEndian.Uint32(head)), head[4], binary.LittleEndian.Uint32(head[5:])
 	if n > maxFrameFloats {
 		return Classification{}, errors.New("serve: oversized score vector")
 	}
-	buf := make([]byte, 8*int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Classification{}, err
-	}
 	scores := make([]float64, n)
 	for i := range scores {
-		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		b, err := take(r, 8)
+		if err != nil {
+			return Classification{}, err
+		}
+		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	return Classification{Class: int(cls), Scores: scores, Degraded: deg[0] == 1}, nil
+	return Classification{Class: int(cls), Scores: scores, Degraded: deg == 1}, nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -47,15 +46,13 @@ func scriptedServer(t *testing.T, scripts ...func(c net.Conn)) (addr string, acc
 
 // answerOK reads one request frame and answers StatusOK, in a loop.
 func answerOK(c net.Conn) {
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	fr := newFrameReader(c, 4)
 	for {
-		x, err := readRequestFrame(br, 4)
+		x, err := fr.next()
 		if err != nil {
 			return
 		}
-		writeOKFrame(bw, Classification{Class: 1, Scores: stubScores(x)})
-		if bw.Flush() != nil {
+		if _, err := c.Write(appendOKFrame(nil, Classification{Class: 1, Scores: stubScores(x)})); err != nil {
 			return
 		}
 	}
@@ -154,8 +151,7 @@ func TestResilientHedgeWins(t *testing.T) {
 	// The first connection swallows the request and stalls far past the
 	// hedge delay; the hedge lane answers promptly and must win.
 	stall := func(c net.Conn) {
-		br := bufio.NewReader(c)
-		if _, err := readRequestFrame(br, 4); err != nil {
+		if _, err := newFrameReader(c, 4).next(); err != nil {
 			return
 		}
 		time.Sleep(2 * time.Second) // hold the answer hostage

@@ -106,7 +106,9 @@ func (s *Server) fill(batch *[]*request) {
 // timeout without touching the engine, and the surviving batch hands
 // the engine a context bounded by its latest deadline. An engine error
 // fails every surviving request in the batch — the fleet router already
-// exhausted failover before reporting it.
+// exhausted failover before reporting it. Each answer is counted before
+// it is sent, so a client that reads Stats right after its response
+// already sees itself in Served, Failed or TimedOut.
 func (s *Server) runBatch(batch []*request, xs [][]float64) {
 	span := obs.StartSpan("serve.batch", "size", len(batch))
 	defer span.End()
@@ -148,21 +150,21 @@ func (s *Server) runBatch(batch []*request, xs [][]float64) {
 			s.answerTimeout(r)
 			continue
 		case err != nil:
-			r.resp <- response{err: err}
 			s.failed.Add(1)
 			s.cFailed.Inc()
+			r.resp <- response{err: err}
 		default:
 			if res.Degraded {
 				s.cDegraded.Inc()
 			}
+			s.served.Add(1)
+			s.cServed.Inc()
 			r.resp <- response{cls: Classification{
 				Class:    res.Classes[i],
 				Scores:   res.Scores[i],
 				Member:   res.Member,
 				Degraded: res.Degraded,
 			}}
-			s.served.Add(1)
-			s.cServed.Inc()
 		}
 		s.inflight.Done()
 	}
@@ -185,11 +187,11 @@ func (s *Server) readBatch(ctx context.Context, xs [][]float64) (res fleet.Batch
 	return s.cfg.Engine.ReadBatchCtx(ctx, xs)
 }
 
-// answerTimeout answers one admitted request with the typed deadline
-// error and accounts it (TimedOut, serve.deadline_exceeded).
+// answerTimeout accounts one admitted request as timed out (TimedOut,
+// serve.deadline_exceeded) and answers it with the typed deadline error.
 func (s *Server) answerTimeout(r *request) {
-	r.resp <- response{err: ErrDeadlineExceeded}
 	s.timedOut.Add(1)
 	s.cDeadline.Inc()
+	r.resp <- response{err: ErrDeadlineExceeded}
 	s.inflight.Done()
 }

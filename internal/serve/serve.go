@@ -37,6 +37,11 @@ import (
 // Engine is the inference backend the batcher workers route
 // micro-batches into. *fleet.Fleet implements it; tests substitute
 // stubs to script latency and failures.
+//
+// An engine must not keep xs, or any vector in it, after ReadBatchCtx
+// returns: a binary connection decodes every frame into the same
+// vector and reuses it as soon as its request is answered.
+// *fleet.Fleet reads xs synchronously and keeps nothing.
 type Engine interface {
 	// ReadBatchCtx answers a batch of classification reads in one call.
 	// The workers pass a context carrying the batch's latest request

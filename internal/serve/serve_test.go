@@ -275,7 +275,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 func TestBinaryQueueFullStatus(t *testing.T) {
 	eng := &stubEngine{gate: make(chan struct{})}
-	_, addr := startServer(t, Config{
+	s, addr := startServer(t, Config{
 		Inputs: 4, Engine: eng, QueueDepth: 1, Workers: 1, BatchMax: 1,
 		RetryAfter: 300 * time.Millisecond,
 	})
@@ -297,30 +297,25 @@ func TestBinaryQueueFullStatus(t *testing.T) {
 			}
 		}(c, i)
 	}
-	// Let the fillers occupy worker + queue.
-	waitFor(t, 5*time.Second, func() bool { return eng.calls.Load() >= 1 })
+	// Let the fillers occupy worker + queue: both admitted, one of them
+	// in the engine. Until the second is admitted the queue has room,
+	// and a probe admitted there would wait on the gate.
+	waitFor(t, 5*time.Second, func() bool {
+		return eng.calls.Load() >= 1 && s.Stats().Accepted == 2
+	})
 
 	c3, err := DialBinary(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c3.Close()
-	var overloaded bool
-	for i := 0; i < 50; i++ {
-		_, err = c3.Classify(testInput(9))
-		var rerr *RemoteError
-		if errors.As(err, &rerr) && rerr.Status == StatusOverloaded {
-			overloaded = true
-			if rerr.RetryAfter != 300*time.Millisecond {
-				t.Errorf("retry-after %v, want 300ms", rerr.RetryAfter)
-			}
-			break
-		}
-		// The queue may briefly have room while the filler's request
-		// moves into the worker; re-fill by trying again.
-	}
-	if !overloaded {
-		t.Error("never saw StatusOverloaded from a saturated queue")
+	c3.SetTimeout(5 * time.Second)
+	_, err = c3.Classify(testInput(9))
+	var rerr *RemoteError
+	if !errors.As(err, &rerr) || rerr.Status != StatusOverloaded {
+		t.Errorf("saturated queue answered %v, want StatusOverloaded", err)
+	} else if rerr.RetryAfter != 300*time.Millisecond {
+		t.Errorf("retry-after %v, want 300ms", rerr.RetryAfter)
 	}
 	close(eng.gate)
 	fillWg.Wait()
