@@ -318,6 +318,37 @@ func Undersample(s *Set, factor int, method PoolMethod) (*Set, error) {
 	return out, nil
 }
 
+// Digits returns the balanced train and test digit sets of the paper's
+// protocol: perClassTrain samples of each class rendered from
+// rng.New(seed), perClassTest from rng.New(seed+1), both with
+// DefaultConfig and undersampled by factor with Decimate. The two
+// streams are independent, so the sets render on two goroutines; the
+// result is the same as rendering them one after the other.
+func Digits(perClassTrain, perClassTest, factor int, seed uint64) (train, test *Set, err error) {
+	render := func(perClass int, src *rng.Source) (*Set, error) {
+		s, err := GenerateBalanced(DefaultConfig(), perClass, src)
+		if err != nil {
+			return nil, err
+		}
+		return Undersample(s, factor, Decimate)
+	}
+	var testErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		test, testErr = render(perClassTest, rng.New(seed+1))
+	}()
+	train, err = render(perClassTrain, rng.New(seed))
+	<-done
+	if err != nil {
+		return nil, nil, err
+	}
+	if testErr != nil {
+		return nil, nil, testErr
+	}
+	return train, test, nil
+}
+
 // Split partitions the set into two disjoint subsets of sizes n and
 // Len()-n, preserving order (generate with a shuffled/balanced generator
 // for random splits).

@@ -196,6 +196,53 @@ func TestUndersample(t *testing.T) {
 	}
 }
 
+// TestDigitsMatchesSequential: the concurrently rendered sets are the
+// ones sequential GenerateBalanced and Undersample calls give, sample for
+// sample and bit for bit; a zero per-class count renders an empty set.
+func TestDigitsMatchesSequential(t *testing.T) {
+	sequential := func(perClass, factor int, seed uint64) *Set {
+		s, err := GenerateBalanced(DefaultConfig(), perClass, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Undersample(s, factor, Decimate); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	same := func(name string, got, want *Set) {
+		t.Helper()
+		if got.Size != want.Size || got.Len() != want.Len() {
+			t.Fatalf("%s: %d samples of size %d, want %d of size %d", name, got.Len(), got.Size, want.Len(), want.Size)
+		}
+		for i, w := range want.Samples {
+			g := got.Samples[i]
+			if g.Label != w.Label || len(g.Pixels) != len(w.Pixels) {
+				t.Fatalf("%s sample %d: label %d (%d px), want %d (%d px)", name, i, g.Label, len(g.Pixels), w.Label, len(w.Pixels))
+			}
+			for q, v := range w.Pixels {
+				if math.Float64bits(g.Pixels[q]) != math.Float64bits(v) {
+					t.Fatalf("%s sample %d pixel %d: %v, want %v", name, i, q, g.Pixels[q], v)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		train, test, factor int
+		seed                uint64
+	}{{4, 3, 1, 5}, {6, 2, 4, 9}, {0, 3, 4, 9}} {
+		train, test, err := Digits(c.train, c.test, c.factor, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("train", train, sequential(c.train, c.factor, c.seed))
+		same("test", test, sequential(c.test, c.factor, c.seed+1))
+	}
+	if _, _, err := Digits(2, 2, 3, 1); err == nil {
+		t.Fatal("expected error for non-dividing factor")
+	}
+}
+
 func TestSplit(t *testing.T) {
 	set, _ := Generate(DefaultConfig(), 10, rng.New(13))
 	a, b, err := set.Split(7)

@@ -85,29 +85,6 @@ func protoFor(s Scale) protocol {
 	}
 }
 
-// digitSets generates the train/test sets for a protocol, deterministic
-// in the seed.
-func digitSets(p protocol, seed uint64) (trainSet, testSet *dataset.Set, err error) {
-	cfg := dataset.DefaultConfig()
-	trainSet, err = dataset.GenerateBalanced(cfg, p.perClassTrain, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	testSet, err = dataset.GenerateBalanced(cfg, p.perClassTest, rng.New(seed+1))
-	if err != nil {
-		return nil, nil, err
-	}
-	trainSet, err = dataset.Undersample(trainSet, p.factor, dataset.Decimate)
-	if err != nil {
-		return nil, nil, err
-	}
-	testSet, err = dataset.Undersample(testSet, p.factor, dataset.Decimate)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trainSet, testSet, nil
-}
-
 // fastBackend selects the array backend for a sweep arm: the analytic
 // backend replays the circuit backend's fabrication and programming
 // draws bit-for-bit when there is no wire resistance, so Monte-Carlo

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/hw"
 	"vortex/internal/mapping"
 	"vortex/internal/ncs"
@@ -63,7 +64,7 @@ func init() {
 // schemes (no wire parasitics; this isolates device variation).
 func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +199,7 @@ func init() {
 // away from dead cells using the redundant rows.
 func Defects(ctx context.Context, scale Scale, seed uint64) (*DefectsResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +305,7 @@ func init() {
 // rate — quantifying the paper's overhead narrative.
 func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +421,7 @@ func init() {
 // four different row-mapping strategies and evaluates each.
 func Mappers(ctx context.Context, scale Scale, seed uint64) (*MappersResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/fault"
 	"vortex/internal/hw"
 	"vortex/internal/ncs"
@@ -83,7 +84,7 @@ type faultTrial struct {
 // persisted and replayed on resume.
 func FaultSweep(ctx context.Context, scale Scale, seed uint64) (*FaultSweepResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

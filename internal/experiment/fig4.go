@@ -69,7 +69,7 @@ func init() {
 // with the VAT weights, averaged over the protocol's MC runs.
 func Fig4(ctx context.Context, scale Scale, seed uint64) (*Fig4Result, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func Fig4SelfTuned(ctx context.Context, scale Scale, seed uint64) (float64, []tr
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	trainSet, _, err := digitSets(p, seed)
+	trainSet, _, err := dataset.Digits(p.perClassTrain, 0, p.factor, seed)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -67,7 +67,7 @@ func init() {
 // used on both sides of the comparison, isolating the mapping effect.
 func Fig7(ctx context.Context, scale Scale, seed uint64) (*Fig7Result, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

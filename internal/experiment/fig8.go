@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 
+	"vortex/internal/dataset"
 	"vortex/internal/rng"
 	"vortex/internal/train"
 )
@@ -60,7 +61,7 @@ func init() {
 // uses to fix the ADC at 6 bits.
 func Fig8(ctx context.Context, scale Scale, seed uint64) (*Fig8Result, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

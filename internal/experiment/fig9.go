@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"vortex/internal/dataset"
 	"vortex/internal/rng"
 	"vortex/internal/train"
 )
@@ -68,7 +69,7 @@ func init() {
 // contrasts Vortex with the conventional schemes, as in paper Sec. 5.3.
 func Fig9(ctx context.Context, scale Scale, seed uint64) (*Fig9Result, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

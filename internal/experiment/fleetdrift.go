@@ -158,7 +158,7 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 	p := protoFor(scale)
 	fp := fleetParamsFrom(ctx, scale)
 	epochs := fleetEpochs(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

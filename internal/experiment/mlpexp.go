@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/mlp"
 	"vortex/internal/opt"
 	"vortex/internal/rng"
@@ -61,7 +62,7 @@ func init() {
 // MLP runs the two-layer extension study.
 func MLP(ctx context.Context, scale Scale, seed uint64) (*MLPResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/ncs"
 	"vortex/internal/rng"
 )
@@ -57,7 +58,7 @@ func init() {
 // Vortex test rate on clean and varied hardware.
 func Precision(ctx context.Context, scale Scale, seed uint64) (*PrecisionResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

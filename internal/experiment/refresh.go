@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/ncs"
@@ -63,7 +64,7 @@ func init() {
 // verify-reprogramming one at the start of every decade from 1e2 s on.
 func Refresh(ctx context.Context, scale Scale, seed uint64) (*RefreshResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"vortex/internal/core"
+	"vortex/internal/dataset"
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/rng"
@@ -62,7 +63,7 @@ func init() {
 // tracks their test rates.
 func Retention(ctx context.Context, scale Scale, seed uint64) (*RetentionResult, error) {
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

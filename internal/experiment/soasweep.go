@@ -128,7 +128,7 @@ func classTemplateWeights(set *dataset.Set) *mat.Matrix {
 func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error) {
 	start := time.Now()
 	p := protoFor(scale)
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -83,12 +83,7 @@ func init() {
 func Table1(ctx context.Context, scale Scale, seed uint64) (*Table1Result, error) {
 	p := protoFor(scale)
 	// Generate once at full resolution; undersample per size.
-	cfg := dataset.DefaultConfig()
-	train28, err := dataset.GenerateBalanced(cfg, p.perClassTrain, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	test28, err := dataset.GenerateBalanced(cfg, p.perClassTest, rng.New(seed+1))
+	train28, test28, err := dataset.Digits(p.perClassTrain, p.perClassTest, 1, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"vortex/internal/dataset"
 	"vortex/internal/hw"
 	"vortex/internal/rng"
 	"vortex/internal/tile"
@@ -69,7 +70,7 @@ func Tiling(ctx context.Context, scale Scale, seed uint64) (*TilingResult, error
 		// even at quick scale, with the reduced sample counts.
 		p.factor = 2
 	}
-	trainSet, testSet, err := digitSets(p, seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, seed)
 	if err != nil {
 		return nil, err
 	}

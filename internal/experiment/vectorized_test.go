@@ -72,7 +72,7 @@ func schemeWeights(t *testing.T, trainSet *dataset.Set) map[string]*mat.Matrix {
 // or the per-trial scalar engine on the same pinned backend (VecScalar).
 func TestEnsembleRatesSchemeParity(t *testing.T) {
 	p := protoFor(Quick)
-	trainSet, testSet, err := digitSets(p, 5)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestVecEligibility(t *testing.T) {
 // even under VecForce, and its results match a VecOff run exactly.
 func TestMutatingSweepNeverVectorized(t *testing.T) {
 	p := protoFor(Quick)
-	trainSet, testSet, err := digitSets(p, 5)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

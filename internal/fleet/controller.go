@@ -27,8 +27,9 @@ type ControllerConfig struct {
 	// never loses more than the repair budget at once). Default 4.
 	ScanEvery int
 	// MaxConcurrentRepairs bounds how many members may be under
-	// maintenance (scan or repair) at once; the router keeps serving
-	// from the rest. Default 1.
+	// maintenance (scan or repair) at once, and how many maintenance
+	// passes one Tick starts, even if earlier passes have already
+	// finished; the router keeps serving from the rest. Default 1.
 	MaxConcurrentRepairs int
 
 	// Hysteresis thresholds. Health is the responsiveness-weighted live
@@ -181,6 +182,12 @@ func (c *Controller) Tick(ctx context.Context) {
 	}
 	c.mu.Unlock()
 
+	// A pass can end, and free its slot, before this loop reaches the
+	// next member, so the semaphore alone could let one tick bench more
+	// members than the budget.
+	if len(due) > c.cfg.MaxConcurrentRepairs {
+		due = due[:c.cfg.MaxConcurrentRepairs]
+	}
 	for _, m := range due {
 		select {
 		case c.sem <- struct{}{}:

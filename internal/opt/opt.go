@@ -90,25 +90,54 @@ func (c SGDConfig) withDefaults() SGDConfig {
 
 // SampleLoss returns the VAT hinge loss of one sample.
 func SampleLoss(w, x []float64, y, gamma, rho float64) float64 {
-	margin := y * mat.Dot(x, w)
-	pen := 0.0
-	if gamma > 0 && rho > 0 {
-		pen = gamma * rho * mat.Norm2(mat.HadamardVec(x, w))
-	}
-	l := 1 + pen - margin
-	if l < 0 {
-		return 0
-	}
+	l, _ := hinge(x, w, make([]float64, len(x)), y, mat.Dot(x, w), gamma, rho)
 	return l
 }
 
-// MeanLoss returns the average VAT hinge loss of w on the problem.
+// MeanLoss returns the average VAT hinge loss of w on the problem. It
+// scores four consecutive samples per mat.Dot4 call and sums the losses
+// in ascending sample order.
 func MeanLoss(p Problem, w []float64) float64 {
-	s := 0.0
-	for i := 0; i < p.X.Rows; i++ {
-		s += SampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho)
+	var v []float64 // scratch for x o w
+	if p.Gamma > 0 && p.Rho > 0 {
+		v = make([]float64, len(w))
 	}
-	return s / float64(p.X.Rows)
+	x := p.X
+	s := 0.0
+	i := 0
+	for ; i+4 <= x.Rows; i += 4 {
+		d0, d1, d2, d3 := mat.Dot4(x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3), w)
+		for k, dot := range [4]float64{d0, d1, d2, d3} {
+			l, _ := hinge(x.Row(i+k), w, v, p.Y[i+k], dot, p.Gamma, p.Rho)
+			s += l
+		}
+	}
+	for ; i < x.Rows; i++ {
+		l, _ := hinge(x.Row(i), w, v, p.Y[i], mat.Dot(x.Row(i), w), p.Gamma, p.Rho)
+		s += l
+	}
+	return s / float64(x.Rows)
+}
+
+// hinge returns the VAT hinge loss max(0, 1 + gamma*rho*||x o w||_2 -
+// y*dot) of a sample whose score x . w is dot, and ||x o w||_2 (0 when
+// the penalty is off). v is scratch for x o w, as long as x; it is not
+// touched when the penalty is off.
+func hinge(x, w, v []float64, y, dot, gamma, rho float64) (loss, vnorm float64) {
+	margin := y * dot
+	pen := 0.0
+	if gamma > 0 && rho > 0 {
+		for q := range v {
+			v[q] = x[q] * w[q]
+		}
+		vnorm = mat.Norm2(v)
+		pen = gamma * rho * vnorm
+	}
+	loss = 1 + pen - margin
+	if loss < 0 {
+		loss = 0
+	}
+	return loss, vnorm
 }
 
 // TrainColumn solves the program with projected SGD and returns the
@@ -132,39 +161,49 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	rate := cfg.Rate
 	prevLoss := math.Inf(1)
 	v := make([]float64, n) // scratch for x o w
+	var dots [4]float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			x := p.X.Row(idx)
-			y := p.Y[idx]
-			// Evaluate the active constraint.
-			margin := y * mat.Dot(x, w)
-			pen := 0.0
-			var vnorm float64
-			if p.Gamma > 0 && p.Rho > 0 {
-				for q := range v {
-					v[q] = x[q] * w[q]
+		// Score the next four positions per mat.Dot4 call (a pass's last
+		// three one mat.Dot each) against the current w, then visit them
+		// in order. A step replaces w and leaves the later scores stale,
+		// so the pass rescores from the position after it; most samples
+		// take no step.
+		for k := 0; k < s; {
+			m := 1
+			if s-k >= 4 {
+				m = 4
+				dots[0], dots[1], dots[2], dots[3] = mat.Dot4(p.X.Row(order[k]), p.X.Row(order[k+1]),
+					p.X.Row(order[k+2]), p.X.Row(order[k+3]), w)
+			} else {
+				dots[0] = mat.Dot(p.X.Row(order[k]), w)
+			}
+			for _, dot := range dots[:m] {
+				idx := order[k]
+				k++
+				x := p.X.Row(idx)
+				y := p.Y[idx]
+				// Evaluate the active constraint.
+				l, vnorm := hinge(x, w, v, y, dot, p.Gamma, p.Rho)
+				if l <= 0 {
+					continue // satisfied with slack zero: no sub-gradient
 				}
-				vnorm = mat.Norm2(v)
-				pen = p.Gamma * p.Rho * vnorm
-			}
-			if 1+pen-margin <= 0 {
-				continue // satisfied with slack zero: no sub-gradient
-			}
-			// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
-			coef := 0.0
-			if vnorm > 1e-30 {
-				coef = p.Gamma * p.Rho / vnorm
-			}
-			for q := 0; q < n; q++ {
-				g := -y*x[q] + coef*x[q]*x[q]*w[q]
-				wq := w[q] - rate*g
-				if wq > cfg.WMax {
-					wq = cfg.WMax
-				} else if wq < -cfg.WMax {
-					wq = -cfg.WMax
+				// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
+				coef := 0.0
+				if vnorm > 1e-30 {
+					coef = p.Gamma * p.Rho / vnorm
 				}
-				w[q] = wq
+				for q := 0; q < n; q++ {
+					g := -y*x[q] + coef*x[q]*x[q]*w[q]
+					wq := w[q] - rate*g
+					if wq > cfg.WMax {
+						wq = cfg.WMax
+					} else if wq < -cfg.WMax {
+						wq = -cfg.WMax
+					}
+					w[q] = wq
+				}
+				break // the block's later scores are stale
 			}
 		}
 		rate *= cfg.RateDecay

@@ -1,0 +1,264 @@
+package opt
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"vortex/internal/dataset"
+	"vortex/internal/mat"
+	"vortex/internal/rng"
+	"vortex/internal/stats"
+)
+
+// The reference trainer below scores one sample per mat.Dot call, in
+// visiting order. It is the oracle the blocked trainer must reproduce
+// bit for bit: the same weights and the same RNG consumption.
+
+func refSampleLoss(w, x []float64, y, gamma, rho float64) float64 {
+	margin := y * mat.Dot(x, w)
+	pen := 0.0
+	if gamma > 0 && rho > 0 {
+		pen = gamma * rho * mat.Norm2(mat.HadamardVec(x, w))
+	}
+	l := 1 + pen - margin
+	if l < 0 {
+		return 0
+	}
+	return l
+}
+
+func refMeanLoss(p Problem, w []float64) float64 {
+	s := 0.0
+	for i := 0; i < p.X.Rows; i++ {
+		s += refSampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho)
+	}
+	return s / float64(p.X.Rows)
+}
+
+func refTrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if src == nil {
+		return nil, errors.New("opt: nil rng source")
+	}
+	cfg = cfg.withDefaults()
+	n := p.X.Cols
+	s := p.X.Rows
+	w := make([]float64, n)
+	order := make([]int, s)
+	for i := range order {
+		order[i] = i
+	}
+	rate := cfg.Rate
+	prevLoss := math.Inf(1)
+	v := make([]float64, n) // scratch for x o w
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, idx := range order {
+			x := p.X.Row(idx)
+			y := p.Y[idx]
+			// Evaluate the active constraint.
+			margin := y * mat.Dot(x, w)
+			pen := 0.0
+			var vnorm float64
+			if p.Gamma > 0 && p.Rho > 0 {
+				for q := range v {
+					v[q] = x[q] * w[q]
+				}
+				vnorm = mat.Norm2(v)
+				pen = p.Gamma * p.Rho * vnorm
+			}
+			if 1+pen-margin <= 0 {
+				continue // satisfied with slack zero: no sub-gradient
+			}
+			// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
+			coef := 0.0
+			if vnorm > 1e-30 {
+				coef = p.Gamma * p.Rho / vnorm
+			}
+			for q := 0; q < n; q++ {
+				g := -y*x[q] + coef*x[q]*x[q]*w[q]
+				wq := w[q] - rate*g
+				if wq > cfg.WMax {
+					wq = cfg.WMax
+				} else if wq < -cfg.WMax {
+					wq = -cfg.WMax
+				}
+				w[q] = wq
+			}
+		}
+		rate *= cfg.RateDecay
+		loss := refMeanLoss(p, w)
+		if math.Abs(prevLoss-loss) < cfg.Tol {
+			break
+		}
+		prevLoss = loss
+	}
+	return w, nil
+}
+
+// sparseProblem draws s samples of n features in [0, 1), about a third
+// of them exact zeros like a digit's background. Targets follow a hidden
+// weight vector with a margin of at least 0.5, or are coin flips when
+// noisy, so no w separates them.
+func sparseProblem(seed uint64, s, n int, noisy bool) Problem {
+	src := rng.New(seed)
+	wTrue := src.NormVec(nil, n, 1)
+	x := mat.NewMatrix(s, n)
+	y := make([]float64, s)
+	for i := 0; i < s; i++ {
+		row := x.Row(i)
+		for {
+			for q := range row {
+				row[q] = 0
+				if src.Intn(3) > 0 {
+					row[q] = src.Float64()
+				}
+			}
+			if noisy {
+				y[i] = float64(2*src.Intn(2) - 1)
+				break
+			}
+			if m := mat.Dot(row, wTrue); math.Abs(m) >= 0.5 {
+				y[i] = math.Copysign(1, m)
+				break
+			}
+		}
+	}
+	return Problem{X: x, Y: y}
+}
+
+// epochsRun returns how many shuffles of s positions a fresh
+// rng.New(seed) must draw before its next Uint64 is next: the number of
+// epochs a trainer seeded with seed ran. It returns -1 if no count up to
+// limit matches.
+func epochsRun(seed uint64, s, limit int, next uint64) int {
+	for e := 0; e <= limit; e++ {
+		src := rng.New(seed)
+		for k := 0; k < e; k++ {
+			src.Shuffle(s, func(i, j int) {})
+		}
+		if src.Uint64() == next {
+			return e
+		}
+	}
+	return -1
+}
+
+// TestTrainColumnMatchesReference: the blocked trainer returns the
+// reference's weights bit for bit and leaves the source where the
+// reference does, for GDT and VAT, at every sample count mod 4 and below
+// four, with early stopping firing, never firing, and after one epoch.
+// MeanLoss and SampleLoss match the reference's on the trained weights.
+func TestTrainColumnMatchesReference(t *testing.T) {
+	const never = 60 // SGDConfig's default epoch count
+	cases := []struct {
+		s, n   int
+		noisy  bool
+		cfg    SGDConfig
+		epochs int // epochs that must run at gamma 0; 0 if not asserted
+	}{
+		{s: 1, n: 7},
+		{s: 2, n: 7},
+		{s: 3, n: 7},
+		{s: 4, n: 7},
+		{s: 5, n: 7},
+		{s: 250, n: 49, cfg: SGDConfig{Epochs: 200, Rate: 0.1}, epochs: -1}, // stops early
+		{s: 1201, n: 49, noisy: true, epochs: never},
+		{s: 1201, n: 49, noisy: true, cfg: SGDConfig{Epochs: 1}, epochs: 1},
+		{s: 250, n: 49, noisy: true, cfg: SGDConfig{Epochs: 1}, epochs: 1},
+	}
+	for ci, c := range cases {
+		for _, gamma := range []float64{0, 0.05, 0.5} {
+			p := sparseProblem(uint64(31+ci), c.s, c.n, c.noisy)
+			p.Gamma = gamma
+			if gamma > 0 {
+				p.Rho = stats.ThetaNormBound(0.6, c.n, 0.9)
+			}
+			name := fmt.Sprintf("s %d n %d noisy %v epochs %d gamma %v", c.s, c.n, c.noisy, c.cfg.Epochs, gamma)
+			seed := uint64(1000 + ci)
+			src, refSrc := rng.New(seed), rng.New(seed)
+			w, err := TrainColumn(p, c.cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refTrainColumn(p, c.cfg, refSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := range want {
+				if math.Float64bits(w[q]) != math.Float64bits(want[q]) {
+					t.Fatalf("%s: w[%d] = %v, reference %v", name, q, w[q], want[q])
+				}
+			}
+			next, refNext := src.Uint64(), refSrc.Uint64()
+			if next != refNext {
+				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
+			}
+			if gamma == 0 && c.epochs != 0 {
+				ran := epochsRun(seed, c.s, c.cfg.withDefaults().Epochs, next)
+				if (c.epochs < 0 && (ran < 1 || ran >= c.cfg.Epochs)) || (c.epochs > 0 && ran != c.epochs) {
+					t.Fatalf("%s: ran %d epochs, case wants %d (-1: stop early)", name, ran, c.epochs)
+				}
+			}
+			if l, ref := MeanLoss(p, w), refMeanLoss(p, w); math.Float64bits(l) != math.Float64bits(ref) {
+				t.Fatalf("%s: MeanLoss %v, reference %v", name, l, ref)
+			}
+			for i := 0; i < p.X.Rows && i < 5; i++ {
+				l := SampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho)
+				if ref := refSampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho); math.Float64bits(l) != math.Float64bits(ref) {
+					t.Fatalf("%s: SampleLoss(%d) %v, reference %v", name, i, l, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestMeanLossAllocs: MeanLoss allocates nothing without the penalty and
+// one scratch vector per call with it, not one per sample.
+func TestMeanLossAllocs(t *testing.T) {
+	p := sparseProblem(3, 203, 49, true)
+	w := rng.New(4).NormVec(nil, 49, 0.1)
+	if allocs := testing.AllocsPerRun(20, func() { MeanLoss(p, w) }); allocs != 0 {
+		t.Fatalf("gamma 0: MeanLoss allocates %v per call, want 0", allocs)
+	}
+	p.Gamma, p.Rho = 0.05, 3
+	if allocs := testing.AllocsPerRun(20, func() { MeanLoss(p, w) }); allocs > 1 {
+		t.Fatalf("gamma 0.05: MeanLoss allocates %v per call, want at most 1", allocs)
+	}
+}
+
+// benchSink keeps BenchmarkTrainAll's result live.
+var benchSink *mat.Matrix
+
+// BenchmarkTrainAll trains the ten 1-vs-all columns on the generated
+// digits at the experiments' Default (1,200 x 196, 40 epochs) and Full
+// (4,000 x 784, 60 epochs) sizes, for GDT and VAT at gamma 0.05.
+func BenchmarkTrainAll(b *testing.B) {
+	sizes := []struct {
+		name                    string
+		perClass, factor, epoch int
+	}{{"default", 120, 2, 40}, {"full", 400, 1, 60}}
+	for _, sz := range sizes {
+		train, _, err := dataset.Digits(sz.perClass, 0, sz.factor, 1001)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, labels := train.ToMatrix()
+		rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
+		for _, gamma := range []float64{0, 0.05} {
+			b.Run(fmt.Sprintf("%s/gamma=%v", sz.name, gamma), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, SGDConfig{Epochs: sz.epoch}, rng.New(7))
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = w
+				}
+			})
+		}
+	}
+}

@@ -104,7 +104,7 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainSet, testSet, err := bootSets(p, cfg.Seed)
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,8 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 
 // LoadSet returns the held-out test set a fleet booted with the same
 // (scale, seed) was evaluated on — the load generator's input source,
-// guaranteed to match the server's input dimension and labels.
+// guaranteed to match the server's input dimension and labels. It
+// renders the test set alone: no training samples.
 func LoadSet(scale string, seed uint64) (*dataset.Set, error) {
 	if scale == "" {
 		scale = "quick"
@@ -157,32 +158,8 @@ func LoadSet(scale string, seed uint64) (*dataset.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, testSet, err := bootSets(p, seed)
+	_, testSet, err := dataset.Digits(0, p.perClassTest, p.factor, seed)
 	return testSet, err
-}
-
-// bootSets generates the train/test digit sets for a protocol,
-// deterministic in the seed (same derivation as the experiment
-// drivers: train from seed, test from seed+1).
-func bootSets(p bootProtocol, seed uint64) (trainSet, testSet *dataset.Set, err error) {
-	cfg := dataset.DefaultConfig()
-	trainSet, err = dataset.GenerateBalanced(cfg, p.perClassTrain, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	testSet, err = dataset.GenerateBalanced(cfg, p.perClassTest, rng.New(seed+1))
-	if err != nil {
-		return nil, nil, err
-	}
-	trainSet, err = dataset.Undersample(trainSet, p.factor, dataset.Decimate)
-	if err != nil {
-		return nil, nil, err
-	}
-	testSet, err = dataset.Undersample(testSet, p.factor, dataset.Decimate)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trainSet, testSet, nil
 }
 
 // fleetAccuracy classifies the whole set through the router and returns

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -492,5 +493,36 @@ func TestServeRealFleet(t *testing.T) {
 	json.Unmarshal(body, &cr)
 	if bin.Class != cr.Result.Class {
 		t.Errorf("binary class %d != json class %d", bin.Class, cr.Result.Class)
+	}
+}
+
+// TestLoadSetMatchesBootTest: LoadSet renders only the test set, and it
+// is the set BuildFleet evaluated the fleet on, sample for sample and
+// bit for bit.
+func TestLoadSetMatchesBootTest(t *testing.T) {
+	for _, seed := range []uint64{7, 42} {
+		boot, err := BuildFleet(BootConfig{Scale: "quick", Members: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := LoadSet("quick", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := boot.Test
+		if set.Size != want.Size || set.Len() != want.Len() {
+			t.Fatalf("seed %d: %d samples of size %d, want %d of size %d", seed, set.Len(), set.Size, want.Len(), want.Size)
+		}
+		for i, w := range want.Samples {
+			g := set.Samples[i]
+			if g.Label != w.Label || len(g.Pixels) != len(w.Pixels) {
+				t.Fatalf("seed %d sample %d: label %d (%d px), want %d (%d px)", seed, i, g.Label, len(g.Pixels), w.Label, len(w.Pixels))
+			}
+			for q, v := range w.Pixels {
+				if math.Float64bits(g.Pixels[q]) != math.Float64bits(v) {
+					t.Fatalf("seed %d sample %d pixel %d: %v, want %v", seed, i, q, g.Pixels[q], v)
+				}
+			}
+		}
 	}
 }
