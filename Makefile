@@ -49,7 +49,8 @@ doccheck:
 	$(GO) run ./cmd/doccheck $(shell find ./internal ./cmd -type d | sort)
 
 # Short fuzz sessions over the quantizer, the device dynamics, the
-# binary protocol's frame decoders, the /v1/classify JSON body, the
+# binary protocol's frame decoders, the /v1/classify JSON body (the
+# handler's contract and the body decoder against encoding/json), the
 # Prometheus exposition validator, checkpoint files and the -chaos mode
 # parser.
 fuzz:
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzClassifyBody -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeClassifyBody -fuzztime 30s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzValidatePrometheus -fuzztime 30s
 	$(GO) test ./internal/experiment/ -run '^$$' -fuzz FuzzCheckpointFile -fuzztime 30s
 	$(GO) test ./internal/chaos/ -run '^$$' -fuzz FuzzParseMode -fuzztime 30s

@@ -69,7 +69,9 @@ const maxFrameFloats = 1 << 20
 // next frame's first byte is bounded by IdleTimeout; once a frame has
 // started, the rest of it must arrive within ReadTimeout — a client
 // trickling one byte per minute cannot hold the handler hostage.
-// Responses are bounded by WriteTimeout.
+// Responses are bounded by WriteTimeout. The clock reads that arm the
+// two deadlines also time an answered frame's decode stage (first byte
+// to decoded vector) and encode_write stage (answer to written frame).
 func (s *Server) handleBinary(c net.Conn) {
 	s.connsMu.Lock()
 	s.conns[c] = struct{}{}
@@ -89,7 +91,7 @@ func (s *Server) handleBinary(c net.Conn) {
 			return // EOF, idle timeout, or the drain poke
 		}
 		// Frame phase: the whole frame must land within ReadTimeout.
-		s.setReadDeadline(c, s.cfg.ReadTimeout)
+		arrived := s.setReadDeadline(c, s.cfg.ReadTimeout)
 		x, err := fr.next()
 		if err != nil {
 			if errors.Is(err, errBadFrame) {
@@ -104,7 +106,8 @@ func (s *Server) handleBinary(c net.Conn) {
 		}
 		start := time.Now()
 		cls, err := s.submit(x)
-		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		answered := time.Now()
+		c.SetWriteDeadline(answered.Add(s.cfg.WriteTimeout))
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			out = appendErrorFrame(out[:0], StatusOverloaded, s.cfg.RetryAfter, err.Error())
@@ -121,7 +124,10 @@ func (s *Server) handleBinary(c net.Conn) {
 			return
 		}
 		if err == nil {
-			s.hBinary.RecordDuration(time.Since(start))
+			end := time.Now()
+			s.hBinary.RecordDuration(end.Sub(start))
+			s.hDecode.RecordDuration(start.Sub(arrived))
+			s.hEncodeWrite.RecordDuration(end.Sub(answered))
 		}
 		if errors.Is(err, ErrDraining) {
 			return
@@ -129,17 +135,19 @@ func (s *Server) handleBinary(c net.Conn) {
 	}
 }
 
-// setReadDeadline arms a read deadline d from now, then re-checks the
-// draining flag: Shutdown's wake-up poke (SetReadDeadline(now) on every
-// registered connection) could land between our deadline write and the
-// blocking read, and must not be overwritten by a longer deadline — the
-// double-check closes that race, because Shutdown sets draining before
-// poking.
-func (s *Server) setReadDeadline(c net.Conn, d time.Duration) {
-	c.SetReadDeadline(time.Now().Add(d))
+// setReadDeadline arms a read deadline d from now and returns the now
+// it armed from, then re-checks the draining flag: Shutdown's wake-up
+// poke (SetReadDeadline(now) on every registered connection) could land
+// between our deadline write and the blocking read, and must not be
+// overwritten by a longer deadline — the double-check closes that race,
+// because Shutdown sets draining before poking.
+func (s *Server) setReadDeadline(c net.Conn, d time.Duration) time.Time {
+	now := time.Now()
+	c.SetReadDeadline(now.Add(d))
 	if s.draining.Load() {
 		c.SetReadDeadline(time.Now())
 	}
+	return now
 }
 
 // errBadFrame marks an in-sync frame the server rejects (the

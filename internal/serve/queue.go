@@ -12,13 +12,16 @@ import (
 
 // request is one admitted classification read waiting in the queue.
 // resp is buffered (capacity 1) so a batcher worker never blocks on a
-// client that walked away. deadline is the request's admission-stamped
-// service deadline (zero when RequestTimeout is disabled): once it
+// client that walked away. admitted is the clock read taken at
+// admission, where the decode stage ends and the queue wait begins.
+// deadline is the request's service deadline, admitted plus
+// RequestTimeout (zero when RequestTimeout is disabled): once it
 // passes, the request is answered with ErrDeadlineExceeded instead of
 // being computed.
 type request struct {
 	x        []float64
 	resp     chan response
+	admitted time.Time
 	deadline time.Time
 }
 
@@ -29,10 +32,11 @@ type response struct {
 	err error
 }
 
-// enqueue admits r to the bounded queue without blocking, stamping the
-// request deadline. A full queue returns ErrQueueFull and a draining
-// server ErrDraining; on success the request is counted in-flight and
-// is guaranteed an answer (possibly the typed deadline error).
+// enqueue admits r to the bounded queue without blocking, stamping its
+// admission time and deadline. A full queue returns ErrQueueFull and a
+// draining server ErrDraining; on success the request is counted
+// in-flight and is guaranteed an answer (possibly the typed deadline
+// error).
 func (s *Server) enqueue(r *request) error {
 	// Order matters for the drain race: the in-flight Add happens
 	// before the draining check, so a request admitted concurrently
@@ -45,8 +49,9 @@ func (s *Server) enqueue(r *request) error {
 		s.cRejDrain.Inc()
 		return ErrDraining
 	}
+	r.admitted = time.Now()
 	if s.cfg.RequestTimeout > 0 {
-		r.deadline = time.Now().Add(s.cfg.RequestTimeout)
+		r.deadline = r.admitted.Add(s.cfg.RequestTimeout)
 	}
 	select {
 	case s.queue <- r:
@@ -136,6 +141,7 @@ func (s *Server) runBatch(batch []*request, xs [][]float64) {
 	}
 	for _, r := range live {
 		xs = append(xs, r.x)
+		s.hQueueWait.RecordDuration(now.Sub(r.admitted))
 	}
 	ctx := context.Background()
 	if bounded {

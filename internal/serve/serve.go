@@ -22,10 +22,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,6 +206,7 @@ type Server struct {
 	cAccepted, cServed, cRejFull, cRejDrain, cFailed *obs.Counter
 	cDeadline, cConnPanics, cWorkerPanics, cDegraded *obs.Counter
 	hHTTP, hBinary, hBatch                           *obs.Histogram
+	hDecode, hQueueWait, hEncodeWrite                *obs.Histogram
 	gQueue, gDraining                                *obs.Gauge
 }
 
@@ -235,6 +236,9 @@ func New(cfg Config) (*Server, error) {
 		hHTTP:         reg.Histogram("serve.http.latency_ns"),
 		hBinary:       reg.Histogram("serve.binary.latency_ns"),
 		hBatch:        reg.Histogram("serve.batch.size"),
+		hDecode:       reg.Histogram("serve.stage.decode_ns"),
+		hQueueWait:    reg.Histogram("serve.stage.queue_wait_ns"),
+		hEncodeWrite:  reg.Histogram("serve.stage.encode_write_ns"),
 		gQueue:        reg.Gauge("serve.queue.depth"),
 		gDraining:     reg.Gauge("serve.draining"),
 	}
@@ -550,11 +554,12 @@ func (p *peekedConn) Read(b []byte) (int, error) {
 }
 
 // retryAfterSeconds renders the configured back-off as the integral
-// seconds value the Retry-After header requires, at least 1.
+// seconds value the Retry-After header requires: rounded up, so a
+// client that honours the header never returns early, and at least 1.
 func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter.Round(time.Second) / time.Second)
+	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
-	return fmt.Sprintf("%d", secs)
+	return strconv.Itoa(secs)
 }

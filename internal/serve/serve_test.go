@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vortex/internal/fleet"
+	"vortex/internal/obs"
 )
 
 // stubEngine is a scriptable Engine: deterministic scores (score j =
@@ -272,6 +273,98 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if st.Accepted+st.RejectedQueueFull != 8 {
 		t.Errorf("accepted %d + rejected %d != 8", st.Accepted, st.RejectedQueueFull)
 	}
+}
+
+// TestRetryAfterRoundsUp: the Retry-After header is the configured
+// back-off rounded up to whole seconds, and at least 1, so a client
+// that honours it never comes back early.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{250 * time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1200 * time.Millisecond, "2"},
+		{1500 * time.Millisecond, "2"},
+		{2 * time.Second, "2"},
+	} {
+		s := &Server{cfg: Config{RetryAfter: tc.d}}
+		if got := s.retryAfterSeconds(); got != tc.want {
+			t.Errorf("RetryAfter %v: Retry-After %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}
+
+// stageCounts reads the observation counts of the decode, queue-wait
+// and encode-write stage histograms.
+func stageCounts() [3]int64 {
+	reg := obs.Default()
+	return [3]int64{
+		reg.Histogram("serve.stage.decode_ns").Count(),
+		reg.Histogram("serve.stage.queue_wait_ns").Count(),
+		reg.Histogram("serve.stage.encode_write_ns").Count(),
+	}
+}
+
+// TestStageHistograms: on each protocol, serve.stage.decode_ns and
+// serve.stage.encode_write_ns record once per answered request and
+// serve.stage.queue_wait_ns once per computed vector; a rejected
+// request records nothing. The server is drained before the counts are
+// read, so every handler has finished recording.
+func TestStageHistograms(t *testing.T) {
+	drain := func(t *testing.T, s *Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("http", func(t *testing.T) {
+		s, addr := startServer(t, Config{Inputs: 4, Engine: &stubEngine{}})
+		before := stageCounts()
+		for i := 0; i < 3; i++ {
+			if resp, body := postClassify(t, addr, ClassifyRequest{Input: testInput(i)}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+		}
+		batch := ClassifyRequest{Inputs: [][]float64{testInput(4), testInput(5)}}
+		if resp, body := postClassify(t, addr, batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+		}
+		if resp, _ := postClassify(t, addr, ClassifyRequest{Input: make([]float64, 7)}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("wrong dimension answered %d", resp.StatusCode)
+		}
+		drain(t, s)
+		after := stageCounts()
+		// 4 answered requests carrying 5 vectors.
+		if got, want := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}, [3]int64{4, 5, 4}; got != want {
+			t.Errorf("decode, queue_wait, encode_write recorded %v times, want %v", got, want)
+		}
+	})
+	t.Run("binary", func(t *testing.T) {
+		s, addr := startServer(t, Config{Inputs: 4, Engine: &stubEngine{}})
+		before := stageCounts()
+		c, err := DialBinary(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := c.Classify(testInput(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rerr *RemoteError
+		if _, err := c.Classify(make([]float64, 7)); !errors.As(err, &rerr) || rerr.Status != StatusBadRequest {
+			t.Fatalf("wrong dimension answered %v", err)
+		}
+		c.Close()
+		drain(t, s)
+		after := stageCounts()
+		if got, want := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}, [3]int64{3, 3, 3}; got != want {
+			t.Errorf("decode, queue_wait, encode_write recorded %v times, want %v", got, want)
+		}
+	})
 }
 
 func TestBinaryQueueFullStatus(t *testing.T) {
