@@ -21,8 +21,7 @@ race:
 	$(GO) test -race ./internal/hw/
 	$(GO) test -race ./internal/mat/
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
-	$(GO) test -race ./internal/ncs/ -run 'TestTrialSet'
-	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestEnsemble|TestVec|TestMutating|TestBatchStage|TestSoaSweep|TestScalarTrial|TestCrashDemo'
+	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
 	$(GO) test -race ./cmd/vortexsim/
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race ./internal/fleet/

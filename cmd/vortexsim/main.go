@@ -21,16 +21,6 @@
 //	-retry-backoff D   base delay before the first retry, doubling per
 //	                   retry (capped)
 //
-// Vectorized ensembles:
-//
-//	-vec P             trial-vectorized ensemble policy: auto (default)
-//	                   vectorizes eligible Monte-Carlo sweeps where the
-//	                   analytic backend already runs; force and scalar pin
-//	                   the analytic backend and run the vectorized /
-//	                   per-trial engine respectively (the two arms of the
-//	                   parity checks — their output is byte-identical);
-//	                   off disables the vectorized path entirely
-//
 // Fleet scenarios (-exp fleetdrift):
 //
 //	-fleet-traffic N   classification reads routed per epoch
@@ -116,7 +106,6 @@ func run() int {
 		fleetAging   = flag.Float64("fleet-aging", 0, "fleetdrift: per-epoch stuck-conversion rate (0 = scale default, negative = no background aging)")
 		fleetSpares  = flag.Int("fleet-spares", 0, "fleetdrift: fleet members beyond the first (0 = scale default)")
 
-		vec           = flag.String("vec", "auto", "trial-vectorized ensemble policy: auto, force, scalar or off")
 		checkpointDir = flag.String("checkpoint-dir", "", "persist completed trials here and resume an interrupted run of the same experiment/scale/seed")
 		partial       = flag.Bool("partial", false, "on timeout, interrupt or exhausted retries, print completed trials with NA cells instead of failing")
 		retries       = flag.Int("retries", 1, "total attempts per Monte-Carlo trial (1 = no retries)")
@@ -224,11 +213,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
 	}
-	vecPol, err := experiment.ParseVecPolicy(*vec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitUsage
-	}
 
 	toRun, ok := runList(*exp)
 	if !ok {
@@ -273,7 +257,6 @@ func run() int {
 			MaxAttempts: *retries,
 			BaseBackoff: *retryBackoff,
 		},
-		Vectorize: vecPol,
 	})
 
 	wallStart := time.Now()

@@ -11,10 +11,13 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"vortex/internal/dataset"
 	"vortex/internal/hw"
+	"vortex/internal/mat"
 	"vortex/internal/ncs"
 	"vortex/internal/opt"
 	"vortex/internal/rng"
@@ -107,4 +110,52 @@ func buildNCS(backend hw.Backend, inputs, redundancy int, sigma, rwire float64, 
 	cfg.Redundancy = redundancy
 	cfg.ADCBits = adcBits
 	return ncs.New(cfg, rng.New(seed))
+}
+
+// ensembleSpec describes one Monte-Carlo ensemble sweep: fabricate
+// len(seeds) systems that differ only in their fabrication draws,
+// program the same logical weights into each through the identity row
+// map, and evaluate each on the same sample set.
+type ensembleSpec struct {
+	scale   Scale
+	inputs  int
+	sigma   float64
+	adcBits int
+	weights *mat.Matrix
+	set     *dataset.Set
+	seeds   []uint64
+}
+
+// ensembleRates evaluates an ensemble sweep — one test rate per seed,
+// with its completion mask — as one parallelTrials sweep, so
+// checkpointing, retries, panic isolation and partial degradation
+// behave as in every other sweep.
+func ensembleRates(ctx context.Context, spec ensembleSpec) ([]float64, []bool, error) {
+	backend := fastBackend(spec.scale, 0)
+	return parallelTrials(ctx, len(spec.seeds), func(t Trial) (float64, error) {
+		n, err := buildNCS(backend, spec.inputs, 0, spec.sigma, 0, spec.adcBits, spec.seeds[t.Index])
+		if err != nil {
+			return 0, err
+		}
+		if err := n.ProgramWeights(spec.weights, hw.ProgramOptions{}); err != nil {
+			return 0, err
+		}
+		return n.Evaluate(spec.set)
+	})
+}
+
+// meanRate folds an ensemble's completed rates into their mean, NaN when
+// none completed (rendered NA).
+func meanRate(rates []float64, done []bool) float64 {
+	sum, k := 0.0, 0
+	for i, r := range rates {
+		if done[i] {
+			sum += r
+			k++
+		}
+	}
+	if k == 0 {
+		return math.NaN()
+	}
+	return sum / float64(k)
 }

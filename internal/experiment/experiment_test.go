@@ -117,6 +117,35 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
+// TestFig4InteriorOptimumMultiSeed asserts the Fig. 4 claim as a
+// majority over seeds rather than one draw: the with-variation optimum
+// gamma is interior (neither 0 nor the largest gamma swept) and beats
+// gamma = 0, on at least 7 of 9 seeds.
+func TestFig4InteriorOptimumMultiSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training sweep at nine seeds")
+	}
+	const seeds, need = 9, 7
+	held := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		res, err := Fig4(context.Background(), Quick, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := res.Gammas[len(res.Gammas)-1]
+		interior := res.BestGamma != res.Gammas[0] && res.BestGamma != last
+		if interior && res.BestTestRate > res.TestWithVar[0] {
+			held++
+		} else {
+			t.Logf("seed %d: best %.3f at gamma=%.2f vs %.3f at gamma=0",
+				seed, res.BestTestRate, res.BestGamma, res.TestWithVar[0])
+		}
+	}
+	if held < need {
+		t.Fatalf("interior optimum beating gamma=0 on %d of %d seeds, want at least %d", held, seeds, need)
+	}
+}
+
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training sweep")

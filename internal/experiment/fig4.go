@@ -96,9 +96,6 @@ func Fig4(ctx context.Context, scale Scale, seed uint64) (*Fig4Result, error) {
 		res.TestClean = append(res.TestClean, opt.Accuracy(xTest, lTest, w))
 
 		// Hardware test rate with variation, averaged over fabrications.
-		// The ensemble sweep routes through the trial-vectorized fast
-		// path where eligible; per-trial values and the mean are
-		// bit-identical either way.
 		seeds := make([]uint64, p.mcRuns)
 		for mc := range seeds {
 			seeds[mc] = seed + 100*uint64(mc) + 11

@@ -16,37 +16,49 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from the current runners")
 
 // goldenPath holds one "<sha256>  <runner>/seed=<n>" line per pinned
-// output, in sha256sum's format.
+// quick output, plus "<sha256>  soasweep/full/seed=42", in sha256sum's
+// format.
 const goldenPath = "testdata/golden.sha256"
 
 // goldenSeeds are the seeds every runner is pinned at.
 var goldenSeeds = []uint64{1, 2, 3}
 
 // TestGoldenOutputs pins the SHA-256 of every runner's quick-scale CSV
-// at three seeds (All: the crashdemo fixture is left out). A refactor or
-// speed-up must leave every digest unchanged; a change that moves a
-// figure on purpose regenerates them with
+// at three seeds (All: the crashdemo fixture is left out), plus Full
+// soasweep at seed 42. A refactor or speed-up must leave every digest
+// unchanged; a change that moves a figure on purpose regenerates them
+// with
 //
 //	go test ./internal/experiment/ -run TestGoldenOutputs -update
 //
 // and justifies the diff.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every runner at three seeds")
+		t.Skip("runs every runner at three seeds, and Full soasweep")
 	}
 	got := map[string]string{}
+	pin := func(key string, r Runner, s Scale, seed uint64) {
+		res, err := r.Run(context.Background(), s, seed)
+		if err != nil {
+			t.Errorf("%s: %v", key, err)
+			return
+		}
+		sum := sha256.Sum256([]byte(res.CSV()))
+		got[key] = hex.EncodeToString(sum[:])
+	}
 	for _, r := range All() {
 		for _, seed := range goldenSeeds {
-			key := fmt.Sprintf("%s/seed=%d", r.Name, seed)
-			res, err := r.Run(context.Background(), Quick, seed)
-			if err != nil {
-				t.Errorf("%s: %v", key, err)
-				continue
-			}
-			sum := sha256.Sum256([]byte(res.CSV()))
-			got[key] = hex.EncodeToString(sum[:])
+			pin(fmt.Sprintf("%s/seed=%d", r.Name, seed), r, Quick, seed)
 		}
 	}
+	// fastBackend sends every Quick run to the circuit backend, so this
+	// is the one digest that reaches a runner's analytic path; perfbench
+	// pins the same run as sweep_mc.
+	soa, ok := Lookup("soasweep")
+	if !ok {
+		t.Fatal("soasweep runner not registered")
+	}
+	pin("soasweep/full/seed=42", soa, Full, 42)
 	if *update {
 		keys := make([]string, 0, len(got))
 		for k := range got {

@@ -94,46 +94,14 @@ func newProgress(n int) *obs.Progress {
 // remaining work — indices not yet handed to a worker are dropped — and
 // is returned after in-flight calls drain. External cancellation
 // returns ctx.Err() the same way.
+//
+// The sweep is traced: parallelTrials opens a "sweep" span under
+// whatever span rides ctx (the registry decoration's experiment span)
+// and every trial attempt runs under a leaf "trial" span — the
+// sweep → trial tree the -trace timeline renders. Retries, panics and
+// checkpoint replays are point events in the same ring, so a crash dump
+// shows them inside that tree.
 func parallelTrials[T any](ctx context.Context, n int, fn func(t Trial) (T, error)) ([]T, []bool, error) {
-	return parallelTrialsBatch[T](ctx, n, nil, fn)
-}
-
-// vecChunk is the trial-group size the vectorized stage hands to a batch
-// evaluator in one call: large enough to amortize the batch's hoisted
-// setup (fabrication bookkeeping, one shared programming pass), small
-// enough that a mid-sweep cancellation or resume loses little work and
-// the per-chunk working set stays cache-resident.
-const vecChunk = 32
-
-// parallelTrialsBatch is parallelTrials with an optional vectorized fast
-// path: when batchFn is non-nil, pending trials are first evaluated in
-// index-ordered chunks through it — one call computing a whole chunk of
-// trial values at once — and only the trials the batch stage could not
-// complete fall back to the scalar per-trial engine. The resilience
-// contract is unchanged and the output is byte-identical to the scalar
-// path, because the batch stage reuses the same bookkeeping per trial
-// (checkpoint resume and saveTrial under the same keys, progress ticks,
-// completion mask) and every batch evaluator is required to produce
-// bit-identical values to fn (the SoA parity suites assert this):
-//
-//   - batchFn(ctx, idxs) must return one value per index in idxs, each
-//     equal to what fn would compute for that trial index; ctx carries
-//     the chunk span for child-span attribution.
-//   - A batch error or panic abandons the vectorized stage (with a debug
-//     log and a fallback counter tick) and the remaining trials run
-//     per-trial — retries, panic isolation and partial degradation then
-//     apply exactly as without a batch path.
-//   - Trials replayed from a checkpoint never reach batchFn, so a resumed
-//     run mixes stored scalar and fresh vectorized values freely.
-//
-// The sweep is traced: parallelTrialsBatch opens a "sweep" span under
-// whatever span rides ctx (the registry decoration's experiment span),
-// the vectorized stage opens one "chunk" span per batch call beneath
-// it, and every scalar trial attempt runs under a leaf "trial" span —
-// the sweep → chunk → trial tree the -trace timeline renders. Retries,
-// panics, fallbacks and checkpoint replays are point events in the same
-// ring, so a crash dump shows them inside that tree.
-func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx context.Context, idxs []int) ([]T, error), fn func(t Trial) (T, error)) ([]T, []bool, error) {
 	out := make([]T, n)
 	done := make([]bool, n)
 	if n == 0 {
@@ -182,13 +150,6 @@ func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx con
 		// cancel — the stored values stand even under a dead context.
 		progress.Finish()
 		return out, done, nil
-	}
-	if batchFn != nil {
-		// Whatever the vectorized stage completes is recorded through the
-		// same per-trial bookkeeping; anything left (batch failure, or a
-		// dying context) falls through to the scalar engine below, whose
-		// epilogue also covers the all-done case with an empty dispatch.
-		pending = runBatchStage(ctx, st, seq, n, pending, batchFn, out, done, progress)
 	}
 
 	// A private cancel scope lets the first fatal error stop the
@@ -334,75 +295,6 @@ func safeTrial[T any](fn func(Trial) (T, error), t Trial) (v T, err error) {
 		}
 	}()
 	return fn(t)
-}
-
-// runBatchStage drains as much of pending as it can through the batch
-// evaluator, in index-ordered chunks of vecChunk, and returns the trial
-// indices still unevaluated. Each completed trial is recorded exactly as
-// the scalar engine records it — same out/done slots, same checkpoint
-// keys, same progress ticks — so downstream behavior cannot tell the
-// stages apart. The first batch error or panic abandons the stage: the
-// failed chunk and everything after it go back to the scalar engine,
-// whose per-trial retries and panic isolation then apply.
-func runBatchStage[T any](ctx context.Context, st *sweepState, seq, n int, pending []int, batchFn func(ctx context.Context, idxs []int) ([]T, error), out []T, done []bool, progress *obs.Progress) []int {
-	for start := 0; start < len(pending); start += vecChunk {
-		if ctx.Err() != nil {
-			// The sweep is stopping; hand the rest to the scalar engine,
-			// which drains and reports the cancellation once.
-			return pending[start:]
-		}
-		end := start + vecChunk
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunk := pending[start:end]
-		cctx, csp := obs.StartSpanCtx(ctx, "chunk", "first", chunk[0], "trials", len(chunk))
-		chunkStart := time.Now()
-		vals, err := safeBatch(cctx, batchFn, chunk)
-		dur := csp.End()
-		if err == nil && len(vals) != len(chunk) {
-			err = fmt.Errorf("batch evaluator returned %d values for %d trials", len(vals), len(chunk))
-		}
-		if err != nil {
-			obs.Default().Counter("experiment.vec.fallbacks").Inc()
-			obs.RecordEvent("vec.fallback", "chunk", "first", chunk[0],
-				"remaining", len(pending)-start, "err", err)
-			obs.L().Debug("vectorized stage failed; falling back to per-trial evaluation",
-				"trials", len(pending)-start, "err", err)
-			return pending[start:]
-		}
-		for k, i := range chunk {
-			out[i], done[i] = vals[k], true
-			saveTrial(st, seq, n, i, vals[k])
-		}
-		if obs.Tracer() != nil {
-			// One fused batch call computed the whole chunk, so no real
-			// per-trial timing exists; synthesize amortized trial spans
-			// (an equal slice of the chunk each) so the timeline keeps
-			// per-trial attribution. Trace-only: latency histograms never
-			// see these synthetic durations.
-			slice := dur / time.Duration(len(chunk))
-			for k, i := range chunk {
-				obs.RecordSpan(cctx, "trial", chunkStart.Add(time.Duration(k)*slice), slice,
-					"trial", i, "amortized", true)
-			}
-		}
-		obs.Default().Counter("experiment.vec.trials").Add(int64(len(chunk)))
-		progress.Add(len(chunk))
-	}
-	return nil
-}
-
-// safeBatch runs one batch evaluation with panic isolation, mirroring
-// safeTrial: a panicking batch evaluator becomes an error (and a scalar
-// re-run), never a process crash.
-func safeBatch[T any](ctx context.Context, batchFn func(context.Context, []int) ([]T, error), idxs []int) (vals []T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("batch panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return batchFn(ctx, idxs)
 }
 
 // saveTrial checkpoints one completed trial value. The value is

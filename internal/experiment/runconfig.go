@@ -29,9 +29,6 @@ type RunConfig struct {
 	Partial bool
 	// Retry is the per-trial retry policy.
 	Retry RetryPolicy
-	// Vectorize selects how ensemble sweeps use the trial-vectorized
-	// analytic fast path (see VecPolicy); the zero value is VecAuto.
-	Vectorize VecPolicy
 }
 
 // runConfigKey carries a RunConfig through a context.

@@ -11,8 +11,8 @@ import (
 )
 
 // soaTrials is the ensemble size of the soasweep driver per scale. The
-// sweep exists to exercise (and benchmark) the trial-vectorized path, so
-// it runs far more Monte-Carlo fabrications than the paper figures do.
+// sweep exists to exercise (and benchmark) the Monte-Carlo trial engine,
+// so it runs far more fabrications than the paper figures do.
 func soaTrials(s Scale) int {
 	switch s {
 	case Quick:
@@ -26,9 +26,8 @@ func soaTrials(s Scale) int {
 
 // SoaResult holds one large fixed-weight Monte-Carlo ensemble: the test
 // rate of every fabricated system plus their mean. The per-trial rows
-// carry no timing or execution-path information, so the CSV rendering is
-// byte-identical between the vectorized and scalar engines — CI diffs
-// the two.
+// carry no timing information, so the CSV rendering is a pure function
+// of scale and seed (TestGoldenOutputs pins it at Full, seed 42).
 type SoaResult struct {
 	Sigma  float64
 	Trials int
@@ -38,9 +37,8 @@ type SoaResult struct {
 
 	// Setup and Sweep split the driver's wall clock into the shared
 	// preparation (dataset generation, template weights) and the ensemble
-	// evaluation itself — the phase the vectorize policy moves. Neither
-	// appears in the CSV/Table renderings, so timing never breaks the
-	// byte-parity contract; benchmarks read them off the result.
+	// evaluation itself. Neither appears in the CSV/Table renderings;
+	// benchmarks read them off the result.
 	Setup time.Duration
 	Sweep time.Duration
 }
@@ -68,7 +66,7 @@ func (r *SoaResult) Annotation() string {
 func init() {
 	register(Runner{
 		Name:        "soasweep",
-		Description: "large Monte-Carlo ensemble at fixed weights (trial-vectorized fast path)",
+		Description: "large Monte-Carlo ensemble at fixed weights",
 		Run: func(ctx context.Context, s Scale, seed uint64) (Result, error) {
 			return SoaSweep(ctx, s, seed)
 		},
@@ -120,11 +118,10 @@ func classTemplateWeights(set *dataset.Set) *mat.Matrix {
 
 // SoaSweep fabricates a large seeded ensemble of crossbar systems,
 // programs the same deterministic class-template weights into each, and
-// reports every system's test rate. The sweep is the repository's
-// benchmark workload for the structure-of-arrays fast path: it is
-// eligible for vectorization at every scale (analytic model, ideal
-// wires, no per-trial hardware mutation) and its output is bit-identical
-// between the vectorized and per-trial engines.
+// reports every system's test rate. It is the repository's benchmark
+// workload for the Monte-Carlo trial engine: no training, ideal wires
+// and, at Full scale, the analytic backend, so the ensemble phase is
+// fabrication, programming and reads only.
 func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error) {
 	start := time.Now()
 	p := protoFor(scale)

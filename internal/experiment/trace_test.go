@@ -18,23 +18,15 @@ func installTrace(t *testing.T) *obs.TraceBuffer {
 	return tb
 }
 
-// TestVectorizedSweepTraceTree drives parallelTrialsBatch through its
-// vectorized stage under a root span and requires the exported span
-// tree to nest root → sweep → chunk → amortized trial, all under one
-// trace ID — the engine-level version of the -trace CLI acceptance.
-func TestVectorizedSweepTraceTree(t *testing.T) {
+// TestSweepTraceTree drives parallelTrials under a root span and
+// requires the exported span tree to nest root → sweep → trial, one
+// trial span per trial, all under one trace ID — the engine-level
+// version of the -trace CLI acceptance.
+func TestSweepTraceTree(t *testing.T) {
 	tb := installTrace(t)
-	const n = vecChunk + 3 // two chunks
+	const n = 11
 	ctx, root := obs.StartSpanCtx(context.Background(), "experiment.test")
-	vals, done, err := parallelTrialsBatch(ctx, n,
-		func(ctx context.Context, idxs []int) ([]int, error) {
-			out := make([]int, len(idxs))
-			for k, i := range idxs {
-				out[k] = i
-			}
-			return out, nil
-		},
-		func(tr Trial) (int, error) { return tr.Index, nil })
+	vals, done, err := parallelTrials(ctx, n, func(tr Trial) (int, error) { return tr.Index, nil })
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +50,8 @@ func TestVectorizedSweepTraceTree(t *testing.T) {
 			t.Fatalf("span %q on trace %#x, want every span on %#x", s.Name, s.TraceID, traceID)
 		}
 	}
-	if count["experiment.test"] != 1 || count["sweep"] != 1 || count["chunk"] != 2 || count["trial"] != n {
-		t.Fatalf("span census = %v, want 1 root, 1 sweep, 2 chunks, %d trials", count, n)
+	if len(count) != 3 || count["experiment.test"] != 1 || count["sweep"] != 1 || count["trial"] != n {
+		t.Fatalf("span census = %v, want 1 root, 1 sweep, %d trials", count, n)
 	}
 	for _, s := range spans {
 		switch s.Name {
@@ -67,12 +59,8 @@ func TestVectorizedSweepTraceTree(t *testing.T) {
 			if byID[s.ParentID].Name != "experiment.test" {
 				t.Errorf("sweep parented under %q", byID[s.ParentID].Name)
 			}
-		case "chunk":
-			if byID[s.ParentID].Name != "sweep" {
-				t.Errorf("chunk parented under %q", byID[s.ParentID].Name)
-			}
 		case "trial":
-			if byID[s.ParentID].Name != "chunk" {
+			if byID[s.ParentID].Name != "sweep" {
 				t.Errorf("trial parented under %q", byID[s.ParentID].Name)
 			}
 		}

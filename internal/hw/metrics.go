@@ -30,12 +30,6 @@ type Metrics struct {
 	verifyIters  *obs.Counter
 	verifyNS     *obs.Histogram
 	solverSweeps *obs.Histogram
-
-	batchTrials      *obs.Counter
-	batchFabricateNS *obs.Histogram
-	batchBuildNS     *obs.Histogram
-	batchScoresNS    *obs.Histogram
-	batchProgramNS   *obs.Histogram
 }
 
 var (
@@ -90,12 +84,6 @@ func metricsForPrefix(prefix string) *Metrics {
 		verifyIters:  reg.Counter(prefix + "verify.iters"),
 		verifyNS:     reg.Histogram(prefix + "verify_ns"),
 		solverSweeps: reg.Histogram(prefix + "solver.sweeps"),
-
-		batchTrials:      reg.Counter(prefix + "batch.trials"),
-		batchFabricateNS: reg.Histogram(prefix + "batch.fabricate_ns"),
-		batchBuildNS:     reg.Histogram(prefix + "batch.tensor_build_ns"),
-		batchScoresNS:    reg.Histogram(prefix + "batch.scores_ns"),
-		batchProgramNS:   reg.Histogram(prefix + "batch.program_ns"),
 	}
 	metricsBy[prefix] = m
 	return m
@@ -153,54 +141,6 @@ func (m *Metrics) ObserveProgram(start time.Time, n int) {
 	m.batches.Inc()
 	m.pulses.Add(int64(n))
 	m.programNS.RecordDuration(time.Since(start))
-}
-
-// ObserveBatchFabricate accounts the fabrication of one TrialBatch of
-// trials arrays started at start: the batch.trials counter advances by
-// the ensemble size and the whole-batch fabrication latency lands in
-// batch.fabricate_ns.
-func (m *Metrics) ObserveBatchFabricate(start time.Time, trials int) {
-	if m == nil {
-		return
-	}
-	m.batchTrials.Add(int64(trials))
-	m.batchFabricateNS.RecordDuration(time.Since(start))
-}
-
-// ObserveBatchBuild accounts one lazy rebuild of a trial-lane-group
-// conductance tensor started at start.
-func (m *Metrics) ObserveBatchBuild(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.batchBuildNS.RecordDuration(time.Since(start))
-}
-
-// ObserveBatchScores accounts one fused ReadLanesInto over lanes trial
-// lanes started at start: the plain read counter advances by lanes (a
-// lane read is one logical per-trial read), and the fused-kernel latency
-// lands in batch.scores_ns.
-func (m *Metrics) ObserveBatchScores(start time.Time, lanes int) {
-	if m == nil {
-		return
-	}
-	m.reads.Add(int64(lanes))
-	m.batchScoresNS.RecordDuration(time.Since(start))
-}
-
-// ObserveBatchProgram accounts one hoisted TrialBatch programming pass
-// started at start: pulses pulses were applied once and shared by trials
-// arrays, so the per-backend pulse and batch counters advance as if each
-// trial had been programmed individually (keeping the aggregate series
-// comparable to the per-trial path), while the hoisted-pass latency
-// lands in batch.program_ns.
-func (m *Metrics) ObserveBatchProgram(start time.Time, pulses, trials int) {
-	if m == nil {
-		return
-	}
-	m.batches.Add(int64(trials))
-	m.pulses.Add(int64(pulses) * int64(trials))
-	m.batchProgramNS.RecordDuration(time.Since(start))
 }
 
 // ObserveVerify accounts one ProgramVerify pass over cells cells that

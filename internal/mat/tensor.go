@@ -2,22 +2,21 @@ package mat
 
 import "fmt"
 
-// TrialLanes is the trial-lane width of the structure-of-arrays tensors
-// used by the batched Monte-Carlo kernels: trials are processed in
-// groups of TrialLanes, laid out contiguously in the minor dimension so
-// one SIMD vector spans TrialLanes trials of the same matrix cell. The
+// TrialLanes is the lane width of the structure-of-arrays tensors and
+// the alignment unit of the fused kernels: a lane block whose width is a
+// multiple of TrialLanes doubles runs on the SIMD implementations. The
 // width is fixed at 8 — one AVX-512 register, two AVX2 registers — and
-// every lane-group tensor pads its trailing group up to it.
+// every Tensor3 pads its trailing lane group up to it.
 const TrialLanes = 8
 
 // Tensor3 is a dense trials x rows x cols tensor stored
 // structure-of-arrays: the trial index is the minor (fastest-varying)
 // dimension, so Data[(i*Cols+j)*Lanes + t] holds cell (i, j) of trial t.
-// This is the batched counterpart of Matrix for Monte-Carlo sweeps whose
-// trials share one shape and differ only in per-cell values: a fused
-// kernel streams each cell once and applies it to every trial lane in a
-// single vector operation, instead of walking one small matrix per
-// trial.
+// A fused kernel streams each cell once and applies it to every lane
+// in a single vector operation, instead of walking one small matrix per
+// lane. No Monte-Carlo sweep runs on it (every trial reads its own
+// system, DESIGN.md §12); the tensor and its 80-wide kernel remain
+// because perfbench times them as its mat.lanes_ns layer.
 //
 // Lanes is the padded trial capacity (a multiple of TrialLanes keeps the
 // SIMD kernels tail-free); trials beyond the logical count simply carry
@@ -61,7 +60,7 @@ func (g *Tensor3) At(i, j, t int) float64 { return g.Data[g.Index(i, j, t)] }
 func (g *Tensor3) Set(i, j, t int, v float64) { g.Data[g.Index(i, j, t)] = v }
 
 // Lane extracts trial lane t into a rows x cols matrix — the per-trial
-// view of the batch, used by parity tests and scalar fallbacks.
+// view of the tensor, used by the parity tests.
 func (g *Tensor3) Lane(t int) *Matrix {
 	if t < 0 || t >= g.Lanes {
 		panic("mat: tensor lane out of range")
@@ -100,10 +99,9 @@ func (g *Tensor3) SetLane(t int, m *Matrix) {
 // bit-identical to a per-trial MulVecTo against Lane(t) for the finite
 // tensors this kernel serves (zero drive rows are processed rather than
 // skipped; their 0*w contributions are exact identities — see
-// mulVecLanesGeneric). That equivalence is what lets the batched
-// Monte-Carlo path reproduce per-trial output byte for byte; the SIMD
-// implementations preserve it by vectorizing only across lanes (mul and
-// add stay separate — no FMA contraction).
+// mulVecLanesGeneric). The SIMD implementations preserve it by
+// vectorizing only across lanes (mul and add stay separate — no FMA
+// contraction).
 func (g *Tensor3) MulVecLanesTo(dst, x []float64) {
 	if len(x) != g.Rows {
 		panic("mat: MulVecLanesTo dimension mismatch")
@@ -112,42 +110,4 @@ func (g *Tensor3) MulVecLanesTo(dst, x []float64) {
 		panic("mat: MulVecLanesTo dst length mismatch")
 	}
 	MulVecBlockTo(dst, g.Data, x)
-}
-
-// ScaleLanesTo writes dst[k] = alpha * src[k] over one lane block of
-// length len(dst) — the batched counterpart of scaling a matrix, used
-// to apply a shared factor (for instance a read voltage) across every
-// trial at once. dst may alias src.
-func ScaleLanesTo(dst, src []float64, alpha float64) {
-	if len(dst) != len(src) {
-		panic("mat: ScaleLanesTo length mismatch")
-	}
-	for k, v := range src {
-		dst[k] = alpha * v
-	}
-}
-
-// ArgMaxLanes computes, for each of the first n trial lanes, the argmax
-// over j of scores[j*lanes+t], writing the winning index per lane into
-// out[:n]. Ties resolve to the lowest j, matching ArgMax, so a batched
-// classification decision is identical to per-trial ArgMax calls.
-func ArgMaxLanes(out []int, scores []float64, cols, lanes, n int) {
-	if cols <= 0 {
-		panic("mat: ArgMaxLanes of empty score rows")
-	}
-	if n < 0 || n > lanes {
-		panic("mat: ArgMaxLanes lane count out of range")
-	}
-	if len(scores) < cols*lanes || len(out) < n {
-		panic("mat: ArgMaxLanes buffer length mismatch")
-	}
-	for t := 0; t < n; t++ {
-		best, bestV := 0, scores[t]
-		for j := 1; j < cols; j++ {
-			if v := scores[j*lanes+t]; v > bestV {
-				best, bestV = j, v
-			}
-		}
-		out[t] = best
-	}
 }

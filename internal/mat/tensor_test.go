@@ -144,41 +144,6 @@ func TestTensorLaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArgMaxLanesMatchesArgMax checks the batched argmax agrees with the
-// per-trial ArgMax, including its ties-to-lowest-index rule.
-func TestArgMaxLanesMatchesArgMax(t *testing.T) {
-	src := rng.New(11)
-	const cols, lanes = 10, 8
-	scores := make([]float64, cols*lanes)
-	for k := range scores {
-		// Coarse values force frequent ties.
-		scores[k] = math.Floor(src.Float64() * 4)
-	}
-	out := make([]int, lanes)
-	ArgMaxLanes(out, scores, cols, lanes, lanes)
-	lane := make([]float64, cols)
-	for tl := 0; tl < lanes; tl++ {
-		for j := 0; j < cols; j++ {
-			lane[j] = scores[j*lanes+tl]
-		}
-		if want := ArgMax(lane); out[tl] != want {
-			t.Fatalf("lane %d: ArgMaxLanes %d, ArgMax %d", tl, out[tl], want)
-		}
-	}
-}
-
-// TestScaleLanesTo checks the shared-factor kernel, including aliasing.
-func TestScaleLanesTo(t *testing.T) {
-	v := []float64{1, -2, 0.5, 0}
-	ScaleLanesTo(v, v, 2)
-	want := []float64{2, -4, 1, 0}
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("ScaleLanesTo[%d] = %v, want %v", i, v[i], want[i])
-		}
-	}
-}
-
 // TestMulVecLanesAllocsZero is the PR 7 zero-alloc guard: the
 // steady-state batched kernel must not allocate.
 func TestMulVecLanesAllocsZero(t *testing.T) {

@@ -169,9 +169,7 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 	}, nil
 }
 
-// senseChainFor builds the output sensing chain of a configuration —
-// shared by the per-trial NCS and the trial-batched TrialSet so the two
-// paths quantize identically.
+// senseChainFor builds the output sensing chain of a configuration.
 func senseChainFor(cfg Config, codec Codec) (*adc.SenseChain, error) {
 	if cfg.ADCBits == 0 {
 		return adc.Ideal(), nil

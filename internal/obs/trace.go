@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ import (
 // experiment run, a fleet maintenance pass) plus its own span ID and
 // its parent's span ID, all drawn from a process-wide splitmix64
 // stream. The IDs ride a context.Context, so a driver that threads ctx
-// through its fan-out gets a real span tree — sweep → chunk → trial —
+// through its fan-out gets a real span tree — sweep → trial —
 // with no extra plumbing. Ended spans and point events (RecordEvent)
 // go to one optional bounded ring, the installed TraceBuffer, read by
 // the Chrome trace_event export (chrome://tracing, Perfetto) and by
@@ -163,22 +162,6 @@ func RecordEvent(kind, name string, attrs ...any) {
 		strs[i] = fmt.Sprint(attrs[i])
 	}
 	tb.add(&SpanRecord{Kind: kind, Name: name, Start: time.Now(), Attrs: strs})
-}
-
-// RecordSpan injects one trace-only span with explicit timing under the
-// active span of ctx — the hook for amortized per-item attribution
-// inside a batched stage, where the batch is timed as a whole but the
-// timeline should still show which items it covered. The record goes to
-// the ring only, never to a histogram, so synthesized attributions
-// never contaminate the measured latency series.
-func RecordSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...any) {
-	tb := tracer.Load()
-	if tb == nil {
-		return
-	}
-	traceID, parentID := parentOf(ctx)
-	tb.add(&SpanRecord{TraceID: traceID, SpanID: newID(), ParentID: parentID,
-		Name: name, Start: start, Dur: d, Attrs: attrs})
 }
 
 // WriteChromeTrace renders the retained spans, not the point events,

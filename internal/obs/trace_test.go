@@ -98,34 +98,6 @@ func TestTraceBufferWrapAndDropped(t *testing.T) {
 	}
 }
 
-func TestRecordSpanIsTraceOnly(t *testing.T) {
-	tb := withTracer(t, 64)
-	r := NewRegistry()
-	ctx, sp := r.StartSpanCtx(context.Background(), "parent")
-	RecordSpan(ctx, "synthetic", time.Now(), time.Millisecond, "amortized", true)
-	sp.End()
-
-	spans := tb.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("retained %d spans, want parent + synthetic", len(spans))
-	}
-	var syn *SpanRecord
-	for i := range spans {
-		if spans[i].Name == "synthetic" {
-			syn = &spans[i]
-		}
-	}
-	if syn == nil {
-		t.Fatal("synthetic span not retained")
-	}
-	if syn.ParentID == 0 || syn.TraceID == 0 {
-		t.Errorf("synthetic span lost its parentage: %+v", syn)
-	}
-	if n := r.Histogram("span.synthetic").Count(); n != 0 {
-		t.Errorf("RecordSpan contaminated the latency histogram with %d samples", n)
-	}
-}
-
 // TestWriteChromeTraceParsesAndNests also pins that a point event
 // shares the ring (Len counts it) but stays out of Spans and the export.
 func TestWriteChromeTraceParsesAndNests(t *testing.T) {
