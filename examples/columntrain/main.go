@@ -53,7 +53,7 @@ func main() {
 	if err := xb.ProgramTargets(targets, xbar.ProgramOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	iOLD := xb.ReadIdeal(vin)[0]
+	iOLD := xb.Conductances().MulVec(vin)[0]
 	rs := make([]float64, cells)
 	for c := 0; c < cells; c++ {
 		rs[c] = xb.Cell(c, 0).Resistance(cfg.Model)
@@ -78,7 +78,7 @@ func main() {
 	belief := mat.Constant(cells, 1/cfg.Model.Roff)
 	iters := 0
 	for ; iters < 80; iters++ {
-		sensed := chain.Sense(xb.ReadIdeal(vin)[0])
+		sensed := chain.Sense(xb.Conductances().MulVec(vin)[0])
 		e := target - sensed
 		if math.Abs(e) < target/64 { // half LSB of the 6-bit chain
 			break
@@ -108,7 +108,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	iCLD := xb.ReadIdeal(vin)[0]
+	iCLD := xb.Conductances().MulVec(vin)[0]
 	fmt.Printf("CLD: converged in %d program-and-sense iterations (6-bit ADC)\n", iters)
 	fmt.Printf("  output current %.4f mA, discrepancy %.2f%%\n\n",
 		1e3*iCLD, 100*math.Abs(iCLD-target)/target)

@@ -9,6 +9,7 @@ import (
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
+	"vortex/internal/ncs"
 	"vortex/internal/rng"
 	"vortex/internal/stats"
 )
@@ -105,7 +106,7 @@ func Fig2(ctx context.Context, scale Scale, seed uint64) (*Fig2Result, error) {
 				Model: device.DefaultSwitchModel(),
 				Sigma: sigma,
 			}
-			xb, err := hw.New(fastBackend(scale, 0), cfg, src)
+			xb, err := ncs.NewArray(fastBackend(scale, 0), cfg, src)
 			if err != nil {
 				return runErrs{}, err
 			}
@@ -167,13 +168,14 @@ func Fig2(ctx context.Context, scale Scale, seed uint64) (*Fig2Result, error) {
 	return res, nil
 }
 
-// readColumn reads the single column current of a one-column array.
+// readColumn reads the single column current of a one-column array
+// through its effective read map.
 func readColumn(xb hw.Array, vin []float64) (float64, error) {
-	out, err := xb.Read(vin)
+	w, err := xb.EffectiveWeights()
 	if err != nil {
 		return 0, err
 	}
-	return out[0], nil
+	return w.MulVec(vin)[0], nil
 }
 
 // cldColumn trains one column close-loop: sense the summed current
@@ -184,13 +186,13 @@ func cldColumn(xb hw.Array, model device.SwitchModel, chain *adc.SenseChain, vin
 	// Controller belief of each cell's conductance (dead reckoning from
 	// the known HRS reset state).
 	belief := mat.Constant(cells, 1/model.Roff)
-	lsb := fig2Target / 32    // effective resolution floor of the 6-bit chain
-	out := make([]float64, 1) // reused across the sense-program iterations
+	lsb := fig2Target / 32 // effective resolution floor of the 6-bit chain
 	for iter := 0; iter < 80; iter++ {
-		if err := xb.ReadInto(out, vin); err != nil {
+		i, err := readColumn(xb, vin)
+		if err != nil {
 			return err
 		}
-		sensed := chain.Sense(out[0])
+		sensed := chain.Sense(i)
 		e := fig2Target - sensed
 		if math.Abs(e) < lsb/2 {
 			return nil

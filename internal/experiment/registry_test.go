@@ -121,12 +121,9 @@ func TestRunnerDecoratesResultWithMetrics(t *testing.T) {
 	if rr.Unwrap() == nil || rr.Unwrap().Table() == "" {
 		t.Error("Unwrap lost the driver result")
 	}
-	// fig2 at Quick scale runs on the circuit backend: reads and
-	// programming pulses must have been counted under that name, and the
-	// experiment span must be present.
-	if got := rr.Metrics.Counters["hw.circuit.reads"]; got == 0 {
-		t.Errorf("hw.circuit.reads = %d, want > 0 (counters: %v)", got, rr.Metrics.Counters)
-	}
+	// fig2 at Quick scale runs on the circuit backend: programming
+	// pulses must have been counted under that name, and the experiment
+	// span must be present.
 	if got := rr.Metrics.Counters["hw.circuit.pulses"]; got == 0 {
 		t.Errorf("hw.circuit.pulses = %d, want > 0", got)
 	}

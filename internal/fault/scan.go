@@ -102,22 +102,6 @@ func (m *Map) DeadMasks() (pos, neg *mat.Matrix) {
 	return pos, neg
 }
 
-// RowsWithDead returns the physical rows holding at least one dead cell
-// in either array, ascending.
-func (m *Map) RowsWithDead() []int {
-	var rows []int
-	for q := 0; q < m.Rows; q++ {
-		dead := false
-		for j := 0; j < m.Cols && !dead; j++ {
-			dead = m.PosHealth[q*m.Cols+j] == Dead || m.NegHealth[q*m.Cols+j] == Dead
-		}
-		if dead {
-			rows = append(rows, q)
-		}
-	}
-	return rows
-}
-
 // ScanOptions controls a health scan.
 type ScanOptions struct {
 	// TargetLo and TargetHi are the two programming targets of the

@@ -41,12 +41,6 @@ type AnalyticArray struct {
 var _ Array = (*AnalyticArray)(nil)
 var _ DefectAccessor = (*AnalyticArray)(nil)
 
-func init() {
-	Register(Analytic, func(cfg Config, src *rng.Source) (Array, error) {
-		return NewAnalytic(cfg, src)
-	})
-}
-
 // NewAnalytic fabricates an analytic array. The fabrication draw
 // sequence (theta, then defect Bernoulli per cell) matches the circuit
 // backend's, so the same seed produces the same physical array on both.
@@ -140,40 +134,6 @@ func (a *AnalyticArray) matrix() *mat.Matrix {
 
 // Conductances returns a snapshot of the observable conductance matrix.
 func (a *AnalyticArray) Conductances() *mat.Matrix { return a.matrix().Clone() }
-
-// Read returns column currents for row voltages v: a single
-// matrix-vector product against the cached conductances.
-func (a *AnalyticArray) Read(v []float64) ([]float64, error) {
-	out := make([]float64, a.cfg.Cols)
-	if err := a.ReadInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto computes column currents for row voltages v into dst — the
-// allocation-free steady-state read: one matrix-vector product against
-// the cached conductances, no buffers created.
-func (a *AnalyticArray) ReadInto(dst, v []float64) error {
-	start := a.met.Start()
-	a.matrix().MulVecTo(dst, v)
-	a.met.ObserveRead(start)
-	return nil
-}
-
-// ReadBatch reads a batch of input vectors against one conductance
-// snapshot, amortizing the cache check and metrics probe across the
-// batch. The returned rows share a single backing allocation.
-func (a *AnalyticArray) ReadBatch(vins [][]float64) ([][]float64, error) {
-	start := a.met.Start()
-	g := a.matrix()
-	out := AllocBatch(len(vins), a.cfg.Cols)
-	for k, v := range vins {
-		g.MulVecTo(out[k], v)
-	}
-	a.met.ObserveBatchRead(start, len(vins))
-	return out, nil
-}
 
 // EffectiveWeights returns the exact linear read map — for ideal wires,
 // the conductance matrix itself.
@@ -293,20 +253,6 @@ func (a *AnalyticArray) ResetAll() {
 	xmax := a.cfg.Model.XMax()
 	for i := range a.x {
 		a.x[i] = xmax
-	}
-	a.dirty()
-}
-
-// InjectVariation re-draws every cell's parametric variation with the
-// given sigma. Used by Monte-Carlo loops that reuse one array across
-// trials.
-func (a *AnalyticArray) InjectVariation(sigma float64, src *rng.Source) {
-	for i := range a.theta {
-		if sigma > 0 {
-			a.theta[i] = src.Normal(0, sigma)
-		} else {
-			a.theta[i] = 0
-		}
 	}
 	a.dirty()
 }

@@ -4,8 +4,11 @@ import (
 	"sync"
 	"testing"
 
+	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
+	"vortex/internal/ncs"
+	"vortex/internal/rng"
 )
 
 // These tests pin the concurrency contract documented in DESIGN.md §11:
@@ -14,6 +17,52 @@ import (
 // array must be externally serialized — but distinct arrays share no
 // mutable state, so different goroutines may drive different arrays
 // freely. Run them under -race (make race does).
+
+// concurrencyConfig returns a mid-size ideal-wire array config.
+func concurrencyConfig() hw.Config {
+	return hw.Config{
+		Rows:  64,
+		Cols:  8,
+		Model: device.DefaultSwitchModel(),
+		Sigma: 0.3,
+	}
+}
+
+// buildProgrammed fabricates and open-loop programs one array.
+func buildProgrammed(t *testing.T, backend hw.Backend, cfg hw.Config, seed uint64) hw.Array {
+	t.Helper()
+	arr, err := ncs.NewArray(backend, cfg, rng.New(seed))
+	if err != nil {
+		t.Fatalf("%s: %v", backend, err)
+	}
+	targets := mat.NewMatrix(cfg.Rows, cfg.Cols)
+	targets.Fill(100e3)
+	if err := arr.ProgramTargets(targets, hw.ProgramOptions{}); err != nil {
+		t.Fatalf("%s: program: %v", backend, err)
+	}
+	return arr
+}
+
+// randomInput builds one random input vector of the given width.
+func randomInput(width int, seed uint64) []float64 {
+	src := rng.New(seed)
+	v := make([]float64, width)
+	for i := range v {
+		v[i] = src.Float64()
+	}
+	return v
+}
+
+// readInto senses the column currents for row voltages v into dst
+// through the array's effective read map.
+func readInto(arr hw.Array, dst, v []float64) error {
+	w, err := arr.EffectiveWeights()
+	if err != nil {
+		return err
+	}
+	w.MulVecTo(dst, v)
+	return nil
+}
 
 // TestConcurrentReadersOnSeparateArrays drives one goroutine per array,
 // each hammering reads on its own array. Distinct arrays must share no
@@ -24,14 +73,14 @@ func TestConcurrentReadersOnSeparateArrays(t *testing.T) {
 			const arrays = 4
 			var wg sync.WaitGroup
 			for a := 0; a < arrays; a++ {
-				arr := buildProgrammed(t, backend, batchConfig(0), uint64(40+a))
+				arr := buildProgrammed(t, backend, concurrencyConfig(), uint64(40+a))
 				wg.Add(1)
 				go func(arr hw.Array) {
 					defer wg.Done()
-					v := randomBatch(1, arr.Rows(), 7)[0]
+					v := randomInput(arr.Rows(), 7)
 					dst := make([]float64, arr.Cols())
 					for i := 0; i < 50; i++ {
-						if err := arr.ReadInto(dst, v); err != nil {
+						if err := readInto(arr, dst, v); err != nil {
 							t.Error(err)
 							return
 						}
@@ -50,12 +99,12 @@ func TestConcurrentReadersOnSeparateArrays(t *testing.T) {
 // enforces. Under -race this passes only because of the external lock;
 // removing it makes the conductance cache and stats counters race.
 func TestSerializedReadReprogramOneArray(t *testing.T) {
-	arr := buildProgrammed(t, hw.Analytic, batchConfig(0), 99)
+	arr := buildProgrammed(t, hw.Analytic, concurrencyConfig(), 99)
 	targets := mat.NewMatrix(arr.Rows(), arr.Cols())
 	targets.Fill(200e3)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	v := randomBatch(1, arr.Rows(), 3)[0]
+	v := randomInput(arr.Rows(), 3)
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -71,7 +120,7 @@ func TestSerializedReadReprogramOneArray(t *testing.T) {
 					arr.Stats()
 					arr.ResetStats()
 				default:
-					err = arr.ReadInto(dst, v)
+					err = readInto(arr, dst, v)
 				}
 				mu.Unlock()
 				if err != nil {
@@ -84,23 +133,22 @@ func TestSerializedReadReprogramOneArray(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPerArrayMetricsNamespacing checks the per-array metric helper:
-// two arrays of the same backend get disjoint series, the prefix is the
-// documented hw.<backend>.<id>. shape, and repeated lookups share the
-// cached instance (MetricsForArray is called on hot paths).
+// TestPerArrayMetricsNamespacing checks the metric namespaces: a
+// per-array prefix has the documented hw.<backend>.<id>. shape, two
+// arrays of one backend get disjoint prefixes, and the per-backend
+// bundle is one cached instance per backend.
 func TestPerArrayMetricsNamespacing(t *testing.T) {
 	if got, want := hw.ArrayPrefix("analytic", "a0"), "hw.analytic.a0."; got != want {
 		t.Fatalf("ArrayPrefix = %q, want %q", got, want)
 	}
-	m0 := hw.MetricsForArray("analytic", "a0")
-	m1 := hw.MetricsForArray("analytic", "a1")
-	if m0 == m1 {
-		t.Fatal("different arrays share one metrics instance")
+	if hw.ArrayPrefix("analytic", "a0") == hw.ArrayPrefix("analytic", "a1") {
+		t.Fatal("different arrays share one metric prefix")
 	}
-	if again := hw.MetricsForArray("analytic", "a0"); again != m0 {
+	agg := hw.MetricsFor("analytic")
+	if again := hw.MetricsFor("analytic"); again != agg {
 		t.Fatal("repeated lookup did not hit the cache")
 	}
-	if agg := hw.MetricsFor("analytic"); agg == m0 {
-		t.Fatal("per-array metrics aliased to the per-backend aggregate")
+	if hw.MetricsFor("circuit") == agg {
+		t.Fatal("two backends share one metrics bundle")
 	}
 }

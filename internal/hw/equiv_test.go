@@ -8,6 +8,7 @@ import (
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
+	"vortex/internal/ncs"
 	"vortex/internal/rng"
 	"vortex/internal/xbar"
 )
@@ -35,15 +36,26 @@ func equivConfig() hw.Config {
 // buildPair fabricates the same array on both backends from the same seed.
 func buildPair(t *testing.T, cfg hw.Config, seed uint64) (hw.Array, hw.Array) {
 	t.Helper()
-	circ, err := hw.New(hw.Circuit, cfg, rng.New(seed))
+	circ, err := ncs.NewArray(hw.Circuit, cfg, rng.New(seed))
 	if err != nil {
 		t.Fatalf("circuit: %v", err)
 	}
-	ana, err := hw.New(hw.Analytic, cfg, rng.New(seed))
+	ana, err := ncs.NewArray(hw.Analytic, cfg, rng.New(seed))
 	if err != nil {
 		t.Fatalf("analytic: %v", err)
 	}
 	return circ, ana
+}
+
+// effective returns an array's effective read map, failing the test on
+// error.
+func effective(t testing.TB, arr hw.Array) *mat.Matrix {
+	t.Helper()
+	w, err := arr.EffectiveWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -56,16 +68,12 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
+// checkCurrents compares the column currents both backends sense for
+// row voltages v through their effective read maps.
 func checkCurrents(t *testing.T, stage string, circ, ana hw.Array, v []float64) {
 	t.Helper()
-	ic, err := circ.Read(v)
-	if err != nil {
-		t.Fatalf("%s: circuit read: %v", stage, err)
-	}
-	ia, err := ana.Read(v)
-	if err != nil {
-		t.Fatalf("%s: analytic read: %v", stage, err)
-	}
+	ic := effective(t, circ).MulVec(v)
+	ia := effective(t, ana).MulVec(v)
 	if d := maxAbsDiff(ic, ia); d > equivTol {
 		t.Fatalf("%s: column currents diverge by %g (tol %g)", stage, d, equivTol)
 	}
@@ -196,24 +204,21 @@ func TestAnalyticMatchesCircuitVerifyAndPretest(t *testing.T) {
 	}
 }
 
-// TestAnalyticMatchesCircuitNCS checks end-to-end parity where the
-// experiment drivers actually live: an identically seeded NCS pair must
-// classify identically on both backends.
 func TestAnalyticRejectsUnsupportedConfig(t *testing.T) {
 	cfg := equivConfig()
 	cfg.RWire = 2.5
-	if _, err := hw.New(hw.Analytic, cfg, rng.New(1)); err == nil {
+	if _, err := ncs.NewArray(hw.Analytic, cfg, rng.New(1)); err == nil {
 		t.Fatal("analytic backend accepted RWire != 0")
 	}
 	cfg = equivConfig()
 	cfg.Disturb = true
-	if _, err := hw.New(hw.Analytic, cfg, rng.New(1)); err == nil {
+	if _, err := ncs.NewArray(hw.Analytic, cfg, rng.New(1)); err == nil {
 		t.Fatal("analytic backend accepted half-select disturb")
 	}
 }
 
 func TestAnalyticCapabilities(t *testing.T) {
-	ana, err := hw.New(hw.Analytic, equivConfig(), rng.New(3))
+	ana, err := ncs.NewArray(hw.Analytic, equivConfig(), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +234,7 @@ func TestAnalyticCapabilities(t *testing.T) {
 	// Setting a defect must change the read map like the circuit does.
 	da := ana.(hw.DefectAccessor)
 	vin := rampInput(ana.Rows())
-	before, err := ana.Read(vin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := effective(t, ana).MulVec(vin)
 	// Find a healthy cell and open it.
 	found := false
 	for i := 0; i < ana.Rows() && !found; i++ {
@@ -244,26 +246,13 @@ func TestAnalyticCapabilities(t *testing.T) {
 	if !found {
 		t.Fatal("no healthy cell in column 0")
 	}
-	after, err := ana.Read(vin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := effective(t, ana).MulVec(vin)
 	if after[0] >= before[0] {
 		t.Errorf("opening a cell did not reduce the column current: %g -> %g", before[0], after[0])
 	}
 }
 
 func TestRegistryRoundTrip(t *testing.T) {
-	regs := hw.Registered()
-	want := map[hw.Backend]bool{hw.Circuit: false, hw.Analytic: false}
-	for _, b := range regs {
-		want[b] = true
-	}
-	for b, seen := range want {
-		if !seen {
-			t.Errorf("backend %v not registered", b)
-		}
-	}
 	for _, tc := range []struct {
 		in   string
 		b    hw.Backend

@@ -14,21 +14,15 @@
 //   - the analytic backend (AnalyticArray, this package): pure
 //     conductance-matrix math with lognormal variation applied as a
 //     static per-cell factor. No per-cell device objects, no parasitic
-//     network rebuilds. Exactly equivalent to the circuit backend when
-//     RWire = 0 (see the differential tests), and much faster on the
-//     read path, which dominates Monte-Carlo-heavy sweeps.
+//     network. Exactly equivalent to the circuit backend when RWire = 0
+//     (see the differential tests).
 //
-// Backends register themselves with Register; callers fabricate through
-// New without naming a concrete type, which is what lets future
-// backends (tiled, remote, batched) plug in without touching the layers
-// above.
+// ncs.NewArray fabricates either one by Backend kind.
 package hw
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"vortex/internal/adc"
 	"vortex/internal/device"
@@ -204,8 +198,8 @@ func (s *ProgramStats) Add(other ProgramStats) {
 // Array is the substrate boundary: one crossbar array of memristive
 // cells, whatever simulates it underneath. Everything above the device
 // layer (ncs, train, core, fault, experiment) programs against this
-// interface; concrete backends register with Register and are selected
-// by Backend kind at fabrication.
+// interface; ncs.NewArray selects the concrete backend by Backend kind
+// at fabrication.
 //
 // An Array is not safe for concurrent use; Monte-Carlo loops give each
 // trial its own instance.
@@ -214,22 +208,11 @@ type Array interface {
 	Rows() int
 	// Cols returns the number of bit lines.
 	Cols() int
-	// Read returns the sensed column currents for row voltages v.
-	Read(v []float64) ([]float64, error)
-	// ReadInto computes the sensed column currents for row voltages v
-	// into dst (length Cols). It is the steady-state hot path: backends
-	// keep reusable solver workspaces and cached conductance state so
-	// repeated calls on an unchanged array allocate nothing.
-	ReadInto(dst, v []float64) error
-	// ReadBatch reads a batch of input vectors in one call, returning
-	// one output row per input. Backends amortize solver setup across
-	// the batch (and, on the circuit backend, warm-start each solve
-	// from the previous one), so per-read cost drops for digit-batch
-	// evaluation loops. The returned rows share one backing allocation.
-	ReadBatch(vins [][]float64) ([][]float64, error)
 	// EffectiveWeights returns the exact linear read map of the current
-	// array state: Read(v) = W^T v for the returned W. For an ideal-wire
-	// array it is the conductance matrix itself.
+	// array state: row voltages v sense column currents y = v·W for the
+	// returned W. For an ideal-wire array it is the conductance matrix
+	// itself. Every read in the stack goes through it. Callers own the
+	// returned matrix.
 	EffectiveWeights() (*mat.Matrix, error)
 	// Conductances returns a snapshot of the observable conductance
 	// matrix (including parametric variation and defects). Callers own
@@ -258,18 +241,6 @@ type Array interface {
 	ResetStats()
 }
 
-// AllocBatch carves n rows of cols float64s out of one backing
-// allocation — the output shape shared by every ReadBatch
-// implementation (two mallocs per batch regardless of batch size).
-func AllocBatch(n, cols int) [][]float64 {
-	backing := make([]float64, n*cols)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return out
-}
-
 // Ager is the optional retention-drift capability: backends that model
 // per-cell drift exponents and an array clock implement it. Callers
 // type-assert and surface a descriptive error when the backend cannot
@@ -295,7 +266,7 @@ type CellAccessor interface {
 	Cell(i, j int) *device.Memristor
 }
 
-// Backend identifies a registered Array implementation.
+// Backend identifies an Array implementation.
 type Backend int
 
 const (
@@ -329,53 +300,4 @@ func ParseBackend(s string) (Backend, error) {
 	default:
 		return 0, fmt.Errorf("hw: unknown backend %q (want circuit or analytic)", s)
 	}
-}
-
-// Builder fabricates an Array for a configuration; the rng source
-// drives fabrication variation and defect draws.
-type Builder func(cfg Config, src *rng.Source) (Array, error)
-
-var (
-	buildersMu sync.RWMutex
-	builders   = map[Backend]Builder{}
-)
-
-// Register installs a backend builder. Backends call it from init;
-// re-registering a kind panics (it would silently reroute every
-// fabrication in the process).
-func Register(b Backend, fn Builder) {
-	if fn == nil {
-		panic("hw: nil backend builder")
-	}
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	if _, dup := builders[b]; dup {
-		panic(fmt.Sprintf("hw: backend %v registered twice", b))
-	}
-	builders[b] = fn
-}
-
-// Registered returns the registered backend kinds, ascending.
-func Registered() []Backend {
-	buildersMu.RLock()
-	defer buildersMu.RUnlock()
-	out := make([]Backend, 0, len(builders))
-	for b := range builders {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// New fabricates an array on the given backend. The circuit backend
-// registers itself from package xbar; importing any layer above it
-// (ncs and up) links it in.
-func New(b Backend, cfg Config, src *rng.Source) (Array, error) {
-	buildersMu.RLock()
-	fn, ok := builders[b]
-	buildersMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hw: backend %v not registered (missing import?)", b)
-	}
-	return fn(cfg, src)
 }

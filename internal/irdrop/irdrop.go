@@ -217,16 +217,9 @@ func (nw *Network) Solve(vrow, vcol []float64) (*Solution, error) {
 	return nil, ErrNoConvergence
 }
 
-// ColumnCurrents returns the current flowing from each column wire into
-// its termination (the sensed output currents).
-func (nw *Network) ColumnCurrents(sol *Solution, vcol []float64) []float64 {
-	out := make([]float64, nw.Cols)
-	nw.ColumnCurrentsInto(out, sol, vcol)
-	return out
-}
-
-// ColumnCurrentsInto writes the sensed column currents into dst (length
-// Cols) — the allocation-free form of ColumnCurrents.
+// ColumnCurrentsInto writes the current flowing from each column wire
+// into its termination (the sensed output currents) into dst (length
+// Cols).
 func (nw *Network) ColumnCurrentsInto(dst []float64, sol *Solution, vcol []float64) {
 	n := nw.Cols
 	if len(dst) != n {

@@ -187,8 +187,8 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 }
 
 // MulVecTo computes y = x * M into dst (length Cols), overwriting it.
-// This is the allocation-free kernel behind MulVec, used by the
-// steady-state array read path where the output buffer is pooled.
+// This is the allocation-free kernel behind MulVec, and the reference
+// the fused block kernels must match bit for bit.
 func (m *Matrix) MulVecTo(dst, x []float64) {
 	if len(x) != m.Rows {
 		panic("mat: MulVecTo dimension mismatch")

@@ -9,14 +9,11 @@ import (
 // singular system.
 var ErrSingular = errors.New("mat: singular matrix")
 
-// ErrNoConvergence is returned when an iterative solver exhausts its
-// iteration budget before reaching the requested tolerance.
-var ErrNoConvergence = errors.New("mat: iterative solver did not converge")
-
 // SolveDense solves A x = b by Gaussian elimination with partial
-// pivoting. A and b are not modified. Intended for the small dense
-// systems in unit tests and the reduced ladder models; the full crossbar
-// nodal analysis uses the sparse iterative solvers below.
+// pivoting. A and b are not modified. Intended for small dense systems:
+// the irdrop and tridiagonal tests use it as their dense oracle, while
+// the crossbar nodal analysis itself relaxes the network ladder by
+// ladder with SolveTridiagInPlace.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
@@ -95,184 +92,4 @@ func SolveTridiagInPlace(a, b, c, d []float64) {
 	for i := n - 2; i >= 0; i-- {
 		d[i] = (d[i] - c[i]*d[i+1]) / b[i]
 	}
-}
-
-// Sparse is a symmetric sparse matrix in coordinate-per-row form, built
-// incrementally. It is the storage used for the crossbar conductance
-// (nodal) matrix, which has at most 5 entries per row.
-type Sparse struct {
-	N    int
-	cols [][]int32
-	vals [][]float64
-	diag []float64
-}
-
-// NewSparse returns an empty n-by-n sparse matrix.
-func NewSparse(n int) *Sparse {
-	return &Sparse{
-		N:    n,
-		cols: make([][]int32, n),
-		vals: make([][]float64, n),
-		diag: make([]float64, n),
-	}
-}
-
-// AddSym adds v to entries (i, j) and (j, i); if i == j it adds v to the
-// diagonal once.
-func (s *Sparse) AddSym(i, j int, v float64) {
-	if i == j {
-		s.diag[i] += v
-		return
-	}
-	s.add(i, j, v)
-	s.add(j, i, v)
-}
-
-// AddDiag adds v to the diagonal entry (i, i).
-func (s *Sparse) AddDiag(i int, v float64) { s.diag[i] += v }
-
-func (s *Sparse) add(i, j int, v float64) {
-	for k, c := range s.cols[i] {
-		if int(c) == j {
-			s.vals[i][k] += v
-			return
-		}
-	}
-	s.cols[i] = append(s.cols[i], int32(j))
-	s.vals[i] = append(s.vals[i], v)
-}
-
-// Diag returns the diagonal entry (i, i).
-func (s *Sparse) Diag(i int) float64 { return s.diag[i] }
-
-// MulVecTo computes dst = S*x.
-func (s *Sparse) MulVecTo(dst, x []float64) {
-	if len(dst) != s.N || len(x) != s.N {
-		panic("mat: Sparse.MulVecTo dimension mismatch")
-	}
-	for i := 0; i < s.N; i++ {
-		sum := s.diag[i] * x[i]
-		cols := s.cols[i]
-		vals := s.vals[i]
-		for k, c := range cols {
-			sum += vals[k] * x[c]
-		}
-		dst[i] = sum
-	}
-}
-
-// SORSolve solves S x = b with successive over-relaxation starting from
-// x0 (which may be nil for a zero start). omega in (0, 2); omega = 1 is
-// Gauss-Seidel. Iterates until the relative residual drops below tol or
-// maxIter sweeps elapse. Returns the solution and the achieved relative
-// residual.
-func (s *Sparse) SORSolve(b, x0 []float64, omega, tol float64, maxIter int) ([]float64, float64, error) {
-	if len(b) != s.N {
-		panic("mat: SORSolve dimension mismatch")
-	}
-	if omega <= 0 || omega >= 2 {
-		panic("mat: SOR omega out of (0,2)")
-	}
-	x := make([]float64, s.N)
-	if x0 != nil {
-		if len(x0) != s.N {
-			panic("mat: SORSolve x0 dimension mismatch")
-		}
-		copy(x, x0)
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, 0, nil
-	}
-	res := make([]float64, s.N)
-	relres := math.Inf(1)
-	for iter := 0; iter < maxIter; iter++ {
-		for i := 0; i < s.N; i++ {
-			sum := b[i]
-			cols := s.cols[i]
-			vals := s.vals[i]
-			for k, c := range cols {
-				sum -= vals[k] * x[c]
-			}
-			d := s.diag[i]
-			if d == 0 {
-				return nil, 0, ErrSingular
-			}
-			xi := sum / d
-			x[i] += omega * (xi - x[i])
-		}
-		// Check residual every few sweeps to amortize the cost.
-		if iter%4 == 3 || iter == maxIter-1 {
-			s.MulVecTo(res, x)
-			for i := range res {
-				res[i] = b[i] - res[i]
-			}
-			relres = Norm2(res) / bnorm
-			if relres < tol {
-				return x, relres, nil
-			}
-		}
-	}
-	return x, relres, ErrNoConvergence
-}
-
-// CGSolve solves S x = b with the conjugate-gradient method for symmetric
-// positive-definite S (the crossbar nodal matrix is SPD). Returns the
-// solution and achieved relative residual.
-func (s *Sparse) CGSolve(b, x0 []float64, tol float64, maxIter int) ([]float64, float64, error) {
-	if len(b) != s.N {
-		panic("mat: CGSolve dimension mismatch")
-	}
-	x := make([]float64, s.N)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, 0, nil
-	}
-	r := make([]float64, s.N)
-	s.MulVecTo(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	// Jacobi preconditioner.
-	z := make([]float64, s.N)
-	applyPrec := func() {
-		for i := range z {
-			d := s.diag[i]
-			if d == 0 {
-				d = 1
-			}
-			z[i] = r[i] / d
-		}
-	}
-	applyPrec()
-	p := CloneVec(z)
-	rz := Dot(r, z)
-	ap := make([]float64, s.N)
-	for iter := 0; iter < maxIter; iter++ {
-		s.MulVecTo(ap, p)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return nil, 0, ErrSingular
-		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		relres := Norm2(r) / bnorm
-		if relres < tol {
-			return x, relres, nil
-		}
-		applyPrec()
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return x, Norm2(r) / bnorm, ErrNoConvergence
 }

@@ -60,166 +60,3 @@ func TestSolveDenseRandomResidual(t *testing.T) {
 		}
 	}
 }
-
-// laplacian1D builds the tridiagonal conductance matrix of a resistor
-// ladder with n interior nodes, unit segment conductance, both ends
-// grounded — the canonical SPD test system, and exactly the structure of
-// one crossbar wire.
-func laplacian1D(n int) *Sparse {
-	s := NewSparse(n)
-	for i := 0; i < n; i++ {
-		s.AddDiag(i, 2)
-		if i+1 < n {
-			s.AddSym(i, i+1, -1)
-		}
-	}
-	return s
-}
-
-func TestSparseMulVec(t *testing.T) {
-	s := laplacian1D(4)
-	x := []float64{1, 2, 3, 4}
-	y := make([]float64, 4)
-	s.MulVecTo(y, x)
-	want := []float64{0, 0, 0, 5} // tridiag(−1,2,−1)·x
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Fatalf("y = %v, want %v", y, want)
-		}
-	}
-}
-
-func TestSORSolveLadder(t *testing.T) {
-	n := 50
-	s := laplacian1D(n)
-	b := Constant(n, 1.0)
-	x, relres, err := s.SORSolve(b, nil, 1.5, 1e-10, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relres > 1e-10 {
-		t.Fatalf("relative residual %v", relres)
-	}
-	// Closed form: x_i = i*(n+1-i)/2 for 1-indexed i with f=1.
-	for i := 0; i < n; i++ {
-		ii := float64(i + 1)
-		want := ii * (float64(n) + 1 - ii) / 2
-		if math.Abs(x[i]-want) > 1e-6*want {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want)
-		}
-	}
-}
-
-func TestCGSolveMatchesSOR(t *testing.T) {
-	n := 80
-	s := laplacian1D(n)
-	src := rng.New(8)
-	b := src.NormVec(nil, n, 1)
-	xs, _, err := s.SORSolve(b, nil, 1.7, 1e-12, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xc, relres, err := s.CGSolve(b, nil, 1e-12, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relres > 1e-12 {
-		t.Fatalf("CG residual %v", relres)
-	}
-	for i := range xs {
-		if math.Abs(xs[i]-xc[i]) > 1e-6 {
-			t.Fatalf("SOR and CG disagree at %d: %v vs %v", i, xs[i], xc[i])
-		}
-	}
-}
-
-func TestSORZeroRHS(t *testing.T) {
-	s := laplacian1D(5)
-	x, relres, err := s.SORSolve(make([]float64, 5), nil, 1.0, 1e-10, 10)
-	if err != nil || relres != 0 {
-		t.Fatalf("zero RHS: err=%v relres=%v", err, relres)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("zero RHS must give zero solution")
-		}
-	}
-}
-
-func TestSORNoConvergence(t *testing.T) {
-	s := laplacian1D(100)
-	b := Constant(100, 1.0)
-	_, _, err := s.SORSolve(b, nil, 1.0, 1e-14, 2)
-	if err != ErrNoConvergence {
-		t.Fatalf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestSORWarmStart(t *testing.T) {
-	n := 30
-	s := laplacian1D(n)
-	b := Constant(n, 1.0)
-	x1, _, err := s.SORSolve(b, nil, 1.5, 1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-starting from the solution should converge immediately.
-	x2, relres, err := s.SORSolve(b, x1, 1.5, 1e-10, 8)
-	if err != nil {
-		t.Fatalf("warm start did not converge: %v (relres %v)", err, relres)
-	}
-	for i := range x1 {
-		if math.Abs(x1[i]-x2[i]) > 1e-8 {
-			t.Fatal("warm start drifted")
-		}
-	}
-}
-
-func TestSparseAccumulatesDuplicates(t *testing.T) {
-	s := NewSparse(2)
-	s.AddSym(0, 1, -1)
-	s.AddSym(0, 1, -2) // should accumulate, not duplicate
-	s.AddDiag(0, 3)
-	s.AddDiag(1, 3)
-	x := []float64{1, 1}
-	y := make([]float64, 2)
-	s.MulVecTo(y, x)
-	if y[0] != 0 || y[1] != 0 {
-		t.Fatalf("y = %v, want [0 0]", y)
-	}
-	if s.Diag(0) != 3 {
-		t.Fatal("Diag accessor wrong")
-	}
-}
-
-func TestSORPanicsOnBadOmega(t *testing.T) {
-	s := laplacian1D(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.SORSolve(Constant(3, 1), nil, 2.5, 1e-6, 10)
-}
-
-func BenchmarkSORLadder1000(b *testing.B) {
-	s := laplacian1D(1000)
-	rhs := Constant(1000, 1.0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.SORSolve(rhs, nil, 1.9, 1e-8, 100000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCGLadder1000(b *testing.B) {
-	s := laplacian1D(1000)
-	rhs := Constant(1000, 1.0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.CGSolve(rhs, nil, 1e-8, 10000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -15,10 +15,7 @@ import (
 	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/rng"
-
-	// Link in the circuit backend so hw.New(hw.Circuit, ...) resolves;
-	// the analytic backend registers from within hw itself.
-	_ "vortex/internal/xbar"
+	"vortex/internal/xbar"
 )
 
 // Config describes an NCS instance.
@@ -142,11 +139,11 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		DefectRate: cfg.DefectRate,
 		Disturb:    cfg.Disturb,
 	}
-	pos, err := hw.New(cfg.Backend, xc, src.Split())
+	pos, err := NewArray(cfg.Backend, xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
-	neg, err := hw.New(cfg.Backend, xc, src.Split())
+	neg, err := NewArray(cfg.Backend, xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -167,6 +164,19 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		rowMap: IdentityMap(cfg.Inputs),
 		width:  (2*cfg.Outputs + mat.TrialLanes - 1) / mat.TrialLanes * mat.TrialLanes,
 	}, nil
+}
+
+// NewArray fabricates one crossbar array on the given backend; the rng
+// source drives fabrication variation and defect draws.
+func NewArray(b hw.Backend, cfg hw.Config, src *rng.Source) (hw.Array, error) {
+	switch b {
+	case hw.Circuit:
+		return xbar.New(cfg, src)
+	case hw.Analytic:
+		return hw.NewAnalytic(cfg, src)
+	default:
+		return nil, fmt.Errorf("ncs: unknown backend %v", b)
+	}
 }
 
 // senseChainFor builds the output sensing chain of a configuration.
@@ -365,10 +375,14 @@ func (n *NCS) scoresInto(dst, x []float64, chain *adc.SenseChain) error {
 // vectors in one call — the digit-batch evaluation path. The effective
 // weights are resolved once for the whole batch and every per-sample
 // buffer is reused, so per-sample cost drops to one fused read of both
-// arrays. The returned rows share one backing allocation.
+// arrays. The returned rows share one backing allocation (two mallocs
+// per batch whatever its size), each capped at its own length.
 func (n *NCS) ScoresBatch(xs [][]float64) ([][]float64, error) {
-	out := hw.AllocBatch(len(xs), n.cfg.Outputs)
+	cols := n.cfg.Outputs
+	backing := make([]float64, len(xs)*cols)
+	out := make([][]float64, len(xs))
 	for k, x := range xs {
+		out[k] = backing[k*cols : (k+1)*cols : (k+1)*cols]
 		if err := n.scoresInto(out[k], x, n.chain); err != nil {
 			return nil, err
 		}

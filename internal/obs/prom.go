@@ -15,7 +15,7 @@ import (
 // planned vortexd scraper) ingests: counters as <name>_total, gauges
 // verbatim, histograms as cumulative le-buckets with _sum/_count plus
 // p50/p90/p99 quantile gauges. Dotted registry names map to underscored
-// exposition names (hw.analytic.read_ns -> hw_analytic_read_ns); any
+// exposition names (hw.analytic.program_ns -> hw_analytic_program_ns); any
 // character outside [a-zA-Z0-9_:] becomes '_'.
 
 // sanitizeMetricName maps a registry name to a legal Prometheus metric

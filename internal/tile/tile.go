@@ -110,9 +110,6 @@ func New(inputs, outputs int, cfg Config, src *rng.Source) (*Array, error) {
 // Tiles returns the grid dimensions (tile rows, tile columns).
 func (a *Array) Tiles() (rows, cols int) { return len(a.rowSpan), len(a.colSpan) }
 
-// Tile returns the NCS at grid position (r, c) for inspection.
-func (a *Array) Tile(r, c int) *ncs.NCS { return a.tiles[r][c] }
-
 // ProgramWeights slices the logical weight matrix into blocks and
 // programs every tile.
 func (a *Array) ProgramWeights(w *mat.Matrix, opts xbar.ProgramOptions) error {

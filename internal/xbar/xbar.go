@@ -2,8 +2,9 @@
 // implements its two operating modes:
 //
 //   - Read (compute): input voltages on the rows produce column currents,
-//     y = x*W in the ideal case (paper Sec. 2.2.1). With wire parasitics
-//     enabled the read goes through the irdrop network solver.
+//     y = x*W with W the conductance matrix in the ideal case (paper Sec.
+//     2.2.1). With wire parasitics enabled W is the effective read map
+//     the irdrop network solver extracts (EffectiveWeights).
 //   - Program: the V/2 scheme of paper Sec. 2.2.2 — the selected cell sees
 //     (possibly IR-degraded) full bias, cells sharing its row or column
 //     see half bias and accumulate a small disturb through the device
@@ -31,19 +32,13 @@ import (
 type Config = hw.Config
 
 // The crossbar is the reference (circuit) implementation of the
-// hardware-abstraction layer and registers itself as hw.Circuit.
+// hardware-abstraction layer, hw.Circuit.
 var (
 	_ hw.Array          = (*Crossbar)(nil)
 	_ hw.Ager           = (*Crossbar)(nil)
 	_ hw.DefectAccessor = (*Crossbar)(nil)
 	_ hw.CellAccessor   = (*Crossbar)(nil)
 )
-
-func init() {
-	hw.Register(hw.Circuit, func(cfg hw.Config, src *rng.Source) (hw.Array, error) {
-		return New(cfg, src)
-	})
-}
 
 // Crossbar is a fabricated array of memristors. Fabrication draws each
 // device's parametric variation and defects from the configured
@@ -56,12 +51,12 @@ type Crossbar struct {
 	aging *agingState
 	met   *hw.Metrics
 
-	// Read-path hot state: the conductance snapshot is cached and
-	// refreshed in place only after cells may have changed, and the
-	// parasitic network (with its warm-started solver workspace) is
-	// built once and kept for the crossbar's lifetime. Steady-state
-	// reads therefore allocate nothing and, with wire parasitics, solve
-	// from the previous converged node voltages.
+	// The conductance snapshot is cached and refreshed in place only
+	// after cells may have changed, and the parasitic network (with its
+	// warm-started solver workspace) is built once and kept for the
+	// crossbar's lifetime, so the adjoint solves of EffectiveWeights and
+	// the delivered-voltage solves of ProgramBatch start from the
+	// previous converged node voltages.
 	gcache *mat.Matrix     // cached observable conductances; nil until first use
 	gdirty bool            // cells may have changed since gcache was filled
 	net    *irdrop.Network // persistent network over gcache (RWire > 0)
@@ -147,7 +142,7 @@ func (x *Crossbar) conductances() *mat.Matrix {
 
 // network returns the persistent parasitic network over the cached
 // conductances. The network's solver workspace — Thomas scratch, pooled
-// solution buffers and the warm-start state — survives across reads, so
+// solution buffers and the warm-start state — survives across calls, so
 // consecutive solves start from the previous converged node voltages.
 func (x *Crossbar) network() *irdrop.Network {
 	g := x.conductances() // refresh the shared matrix first
@@ -167,69 +162,9 @@ func (x *Crossbar) Conductances() *mat.Matrix {
 // Network returns a detached parasitic network view of the crossbar's
 // current state. The network snapshots the conductances (the returned
 // network never tracks later programming) and solves cold — use the
-// crossbar's own Read path for cached, warm-started solves.
+// crossbar's own EffectiveWeights for cached, warm-started solves.
 func (x *Crossbar) Network() *irdrop.Network {
 	return irdrop.NewNetwork(x.Conductances(), x.cfg.RWire)
-}
-
-// ReadIdeal returns column currents ignoring wire parasitics.
-func (x *Crossbar) ReadIdeal(v []float64) []float64 {
-	return x.conductances().MulVec(v)
-}
-
-// Read returns the sensed column currents for row voltages v, through the
-// parasitic network when wire resistance is configured.
-func (x *Crossbar) Read(v []float64) ([]float64, error) {
-	out := make([]float64, x.cfg.Cols)
-	if err := x.ReadInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto computes the sensed column currents for row voltages v into
-// dst — the steady-state hot path. On an unchanged array it allocates
-// nothing: the ideal-wire read is one matrix-vector product against the
-// cached conductances, and the parasitic read runs in the persistent
-// network's workspace, warm-starting from the previous solution.
-func (x *Crossbar) ReadInto(dst, v []float64) error {
-	start := x.met.Start()
-	if err := x.readInto(dst, v); err != nil {
-		return err
-	}
-	x.met.ObserveRead(start)
-	return nil
-}
-
-// readInto is the unobserved read core shared by ReadInto and ReadBatch.
-func (x *Crossbar) readInto(dst, v []float64) error {
-	if x.cfg.RWire == 0 {
-		x.conductances().MulVecTo(dst, v)
-		return nil
-	}
-	nw := x.network()
-	if err := nw.ReadInto(dst, v); err != nil {
-		return err
-	}
-	x.met.ObserveSolverSweeps(nw.Sweeps())
-	return nil
-}
-
-// ReadBatch reads a batch of input vectors in one call. The conductance
-// refresh, network setup and metrics probe are paid once for the whole
-// batch, and with wire parasitics every solve after the first
-// warm-starts from its predecessor. The returned rows share one backing
-// allocation.
-func (x *Crossbar) ReadBatch(vins [][]float64) ([][]float64, error) {
-	start := x.met.Start()
-	out := hw.AllocBatch(len(vins), x.cfg.Cols)
-	for k, v := range vins {
-		if err := x.readInto(out[k], v); err != nil {
-			return nil, err
-		}
-	}
-	x.met.ObserveBatchRead(start, len(vins))
-	return out, nil
 }
 
 // EffectiveWeights returns the exact linear read map of the current
@@ -459,18 +394,4 @@ func (x *Crossbar) Pretest(target float64, senses int, chain *adc.SenseChain) (*
 		}
 	}
 	return factors, nil
-}
-
-// InjectVariation re-draws every healthy cell's parametric variation with
-// the given sigma. Used by Monte-Carlo loops that reuse one crossbar
-// across trials.
-func (x *Crossbar) InjectVariation(sigma float64, src *rng.Source) {
-	for i := range x.cells {
-		if sigma > 0 {
-			x.cells[i].Theta = src.Normal(0, sigma)
-		} else {
-			x.cells[i].Theta = 0
-		}
-	}
-	x.gdirty = true
 }

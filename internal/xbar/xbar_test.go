@@ -79,30 +79,6 @@ func TestAllCellsStartHRS(t *testing.T) {
 	}
 }
 
-func TestReadIdealMatchesConductances(t *testing.T) {
-	cfg := baseConfig(6, 3)
-	cfg.Sigma = 0.3
-	xb := mustNew(t, cfg, 5)
-	v := mat.Constant(6, 1.0)
-	y := xb.ReadIdeal(v)
-	want := xb.Conductances().MulVec(v)
-	for j := range y {
-		if y[j] != want[j] {
-			t.Fatal("ReadIdeal mismatch")
-		}
-	}
-	// Read with RWire == 0 must agree.
-	y2, err := xb.Read(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range y {
-		if y2[j] != y[j] {
-			t.Fatal("Read != ReadIdeal for ideal wires")
-		}
-	}
-}
-
 func TestProgramTargetsNoVariationExact(t *testing.T) {
 	cfg := baseConfig(8, 4)
 	xb := mustNew(t, cfg, 9)
@@ -366,30 +342,6 @@ func TestPretestRestoresState(t *testing.T) {
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
 			t.Fatal("pretest did not restore crossbar state")
-		}
-	}
-}
-
-func TestInjectVariation(t *testing.T) {
-	cfg := baseConfig(20, 20)
-	xb := mustNew(t, cfg, 31)
-	xb.InjectVariation(0.7, rng.New(55))
-	thetas := make([]float64, 0, 400)
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			thetas = append(thetas, xb.Cell(i, j).Theta)
-		}
-	}
-	_, sd := stats.MeanStd(thetas)
-	if math.Abs(sd-0.7) > 0.1 {
-		t.Fatalf("injected sigma %v, want ~0.7", sd)
-	}
-	xb.InjectVariation(0, nil)
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			if xb.Cell(i, j).Theta != 0 {
-				t.Fatal("InjectVariation(0) should clear thetas")
-			}
 		}
 	}
 }
