@@ -90,32 +90,15 @@ func main() {
 		fmt.Println("## delivered programming voltage [V] (full bias", cfg.Model.Vprog, "V)")
 		dv := mat.NewMatrix(*rows, *cols)
 		for j := 0; j < *cols; j++ {
-			col, err := nw.DeliveredColumn(j, cfg.Model.Vprog)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			dv.SetCol(j, col)
+			dv.SetCol(j, nw.DeliveredColumn(j, cfg.Model.Vprog))
 		}
 		printHeat(xb, dv.At)
 		fmt.Printf("\nworst delivered voltage: %.3f V (top-right corner effect)\n", matMin(dv))
 
 		mid := *cols / 2
-		d, err := nw.DFactors(mid, cfg.Model.Vprog, cfg.Model.Rate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		skew, err := nw.DSkew(mid, cfg.Model.Vprog, cfg.Model.Rate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		beta, err := nw.Beta(mid, cfg.Model.Vprog, cfg.Model.Rate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		d := nw.DFactors(mid, cfg.Model.Vprog, cfg.Model.Rate)
+		skew := nw.DSkew(mid, cfg.Model.Vprog, cfg.Model.Rate)
+		beta := nw.Beta(mid, cfg.Model.Vprog, cfg.Model.Rate)
 		fmt.Printf("\n## column %d D factors: top %.4g ... bottom %.4g  (skew %.3g, beta %.3g)\n",
 			mid, d[0], d[len(d)-1], skew, beta)
 

@@ -146,6 +146,33 @@ func TestFig4InteriorOptimumMultiSeed(t *testing.T) {
 	}
 }
 
+// TestTable1CollapseAt784MultiSeed asserts Table 1's headline at the
+// paper's 784 rows as a majority over seeds: Vortex with IR-drop beats
+// CLD with IR-drop, and CLD without IR-drop beats CLD with it, on at
+// least 7 of 9 seeds of the Quick protocol.
+func TestTable1CollapseAt784MultiSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training sweep at nine seeds")
+	}
+	const seeds, need = 9, 7
+	held := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		res, err := table1(context.Background(), Quick, seed, []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cld, vortex, noIR := res.CLDIRTest[0], res.VortexIRTest[0], res.CLDNoIRTest[0]
+		if vortex > cld && noIR > cld {
+			held++
+		}
+		t.Logf("seed %d at %d rows: CLD w/ IR %.3f, Vortex w/ IR %.3f, CLD w/o IR %.3f",
+			seed, res.Sizes[0], cld, vortex, noIR)
+	}
+	if held < need {
+		t.Fatalf("collapse at 784 rows held on %d of %d seeds, want at least %d", held, seeds, need)
+	}
+}
+
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training sweep")

@@ -80,36 +80,13 @@ func Fig3(ctx context.Context, scale Scale, _ uint64) (*Fig3Result, error) {
 		g.Fill(1 / model.Ron)
 		nw := irdrop.NewNetwork(g, res.RWire)
 		col := 5 // middle column
-		d, err := nw.DFactors(col, model.Vprog, model.Rate)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := d[0], d[0]
-		for _, x := range d[1:] {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		beta, err := nw.Beta(col, model.Vprog, model.Rate)
-		if err != nil {
-			return nil, err
-		}
-		vTop, err := nw.ProgramVoltage(0, col, model.Vprog)
-		if err != nil {
-			return nil, err
-		}
-		vBottom, err := nw.ProgramVoltage(m-1, col, model.Vprog)
-		if err != nil {
-			return nil, err
-		}
-		res.Beta = append(res.Beta, beta)
-		res.DSkew = append(res.DSkew, hi/lo)
-		res.VTop = append(res.VTop, vTop)
-		res.VBottom = append(res.VBottom, vBottom)
-		if res.Crossover == 0 && hi/lo > 2 {
+		skew := nw.DSkew(col, model.Vprog, model.Rate)
+		dv := nw.DeliveredColumn(col, model.Vprog)
+		res.Beta = append(res.Beta, nw.Beta(col, model.Vprog, model.Rate))
+		res.DSkew = append(res.DSkew, skew)
+		res.VTop = append(res.VTop, dv[0])
+		res.VBottom = append(res.VBottom, dv[m-1])
+		if res.Crossover == 0 && skew > 2 {
 			res.Crossover = m
 		}
 	}

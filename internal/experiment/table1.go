@@ -81,15 +81,21 @@ func init() {
 // test runtime bounded — benchmarks and CLI runs use Default/Full, which
 // cover all three paper sizes.
 func Table1(ctx context.Context, scale Scale, seed uint64) (*Table1Result, error) {
+	factors := []int{1, 2, 4}
+	if scale == Quick {
+		factors = []int{2, 4}
+	}
+	return table1(ctx, scale, seed, factors)
+}
+
+// table1 runs Table1's protocol at the given undersampling factors: 1,
+// 2 and 4 give 784, 196 and 49 rows.
+func table1(ctx context.Context, scale Scale, seed uint64, factors []int) (*Table1Result, error) {
 	p := protoFor(scale)
 	// Generate once at full resolution; undersample per size.
 	train28, test28, err := dataset.Digits(p.perClassTrain, p.perClassTest, 1, seed)
 	if err != nil {
 		return nil, err
-	}
-	factors := []int{1, 2, 4}
-	if scale == Quick {
-		factors = []int{2, 4}
 	}
 	const rwire = 2.5
 	const sigma = 0.6

@@ -9,51 +9,111 @@ import (
 	"vortex/internal/rng"
 )
 
+// nodal assembles a dense nodal system for the test oracles.
+type nodal struct {
+	a *mat.Matrix
+	b []float64
+}
+
+func newNodal(nodes int) *nodal {
+	return &nodal{a: mat.NewMatrix(nodes, nodes), b: make([]float64, nodes)}
+}
+
+// cond connects nodes p and q through conductance c.
+func (s *nodal) cond(p, q int, c float64) {
+	s.a.Add(p, p, c)
+	s.a.Add(q, q, c)
+	s.a.Add(p, q, -c)
+	s.a.Add(q, p, -c)
+}
+
+// source connects node p through conductance c to a fixed voltage v.
+func (s *nodal) source(p int, c, v float64) {
+	s.a.Add(p, p, c)
+	s.b[p] += c * v
+}
+
+func (s *nodal) solve(t testing.TB) []float64 {
+	t.Helper()
+	x, err := mat.SolveDense(s.a, s.b)
+	if err != nil {
+		t.Fatalf("dense reference solve: %v", err)
+	}
+	return x
+}
+
 // denseReference solves the full 2*m*n nodal system with dense Gaussian
 // elimination — an independent oracle for the block-ladder solver.
 func denseReference(t *testing.T, g *mat.Matrix, rwire float64, vrow, vcol []float64) []float64 {
 	t.Helper()
 	m, n := g.Rows, g.Cols
 	gw := 1 / rwire
-	nn := 2 * m * n
 	uIdx := func(i, j int) int { return i*n + j }
 	wIdx := func(i, j int) int { return m*n + i*n + j }
-	a := mat.NewMatrix(nn, nn)
-	b := make([]float64, nn)
-	addCond := func(p, q int, c float64) {
-		a.Add(p, p, c)
-		a.Add(q, q, c)
-		a.Add(p, q, -c)
-		a.Add(q, p, -c)
-	}
-	addSource := func(p int, c, v float64) {
-		a.Add(p, p, c)
-		b[p] += c * v
-	}
+	s := newNodal(2 * m * n)
 	for i := 0; i < m; i++ {
-		addSource(uIdx(i, 0), gw, vrow[i])
+		s.source(uIdx(i, 0), gw, vrow[i])
 		for j := 0; j < n; j++ {
 			if j+1 < n {
-				addCond(uIdx(i, j), uIdx(i, j+1), gw)
+				s.cond(uIdx(i, j), uIdx(i, j+1), gw)
 			}
-			addCond(uIdx(i, j), wIdx(i, j), g.At(i, j))
+			s.cond(uIdx(i, j), wIdx(i, j), g.At(i, j))
 			if i+1 < m {
-				addCond(wIdx(i, j), wIdx(i+1, j), gw)
+				s.cond(wIdx(i, j), wIdx(i+1, j), gw)
 			}
 		}
 	}
 	for j := 0; j < n; j++ {
-		addSource(wIdx(m-1, j), gw, vcol[j])
+		s.source(wIdx(m-1, j), gw, vcol[j])
 	}
-	x, err := mat.SolveDense(a, b)
-	if err != nil {
-		t.Fatalf("dense reference solve: %v", err)
-	}
+	x := s.solve(t)
 	out := make([]float64, n)
 	for j := 0; j < n; j++ {
 		out[j] = gw * (x[wIdx(m-1, j)] - vcol[j])
 	}
 	return out
+}
+
+// denseProgramReference solves the (n + m)-node V/2 programming network
+// of cell (a, b) with dense Gaussian elimination: the selected row driven
+// at v through one segment, the selected column grounded through one
+// segment, the selected cell between them, and every other cell on the
+// two lines loaded to v/2. It returns the voltage across the selected
+// cell — an independent oracle for Delivery.
+func denseProgramReference(t testing.TB, g *mat.Matrix, rwire float64, a, b int, v float64) float64 {
+	t.Helper()
+	m, n := g.Rows, g.Cols
+	gw := 1 / rwire
+	wIdx := func(i int) int { return n + i } // row nodes are 0..n-1
+	s := newNodal(n + m)
+	s.source(0, gw, v)
+	for j := 0; j < n; j++ {
+		if j+1 < n {
+			s.cond(j, j+1, gw)
+		}
+		if j != b {
+			s.source(j, g.At(a, j), v/2)
+		}
+	}
+	s.source(wIdx(m-1), gw, 0)
+	for i := 0; i < m; i++ {
+		if i+1 < m {
+			s.cond(wIdx(i), wIdx(i+1), gw)
+		}
+		if i != a {
+			s.source(wIdx(i), g.At(i, b), v/2)
+		}
+	}
+	s.cond(b, wIdx(a), g.At(a, b))
+	x := s.solve(t)
+	return x[b] - x[wIdx(a)]
+}
+
+// programShapes are the geometries the delivered-voltage tests sweep:
+// single cells and lines, small and square arrays, and the paper's
+// 196- and 784-row columns.
+var programShapes = []struct{ m, n int }{
+	{1, 1}, {1, 4}, {3, 1}, {2, 3}, {16, 10}, {64, 64}, {196, 10}, {784, 10},
 }
 
 func randomConductances(seed uint64, m, n int) *mat.Matrix {
@@ -219,6 +279,57 @@ func TestProgramVoltageIdeal(t *testing.T) {
 	}
 }
 
+// TestProgramVoltageMatchesDenseReference checks the exact two-ladder
+// solve against dense elimination of the V/2 network on every cell.
+// At 794 nodes one dense solve takes about 6 ms, so under -short the
+// 784-row shape checks every 87th row, top and bottom included.
+func TestProgramVoltageMatchesDenseReference(t *testing.T) {
+	const v = 2.9
+	for k, sh := range programShapes {
+		g := randomConductances(uint64(200+k), sh.m, sh.n)
+		nw := NewNetwork(g, 2.5)
+		step := 1
+		if testing.Short() && sh.m > 200 {
+			step = 87
+		}
+		for a := 0; a < sh.m; a += step {
+			for b := 0; b < sh.n; b++ {
+				got, err := nw.ProgramVoltage(a, b, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := denseProgramReference(t, g, 2.5, a, b, v)
+				if d := math.Abs(got - want); d > 1e-12 {
+					t.Fatalf("%dx%d cell (%d,%d): delivered %.15g, dense %.15g (|diff| %.3g V)",
+						sh.m, sh.n, a, b, got, want, d)
+				}
+			}
+		}
+	}
+}
+
+// TestDeliveryReuseMatchesFreshSolve checks that one Delivery reused
+// over every cell, in an order that revisits rows and columns, returns
+// exactly what a fresh per-cell ProgramVoltage returns.
+func TestDeliveryReuseMatchesFreshSolve(t *testing.T) {
+	for k, sh := range programShapes {
+		g := randomConductances(uint64(300+k), sh.m, sh.n)
+		nw := NewNetwork(g, 2.5)
+		fresh := make([]float64, sh.m*sh.n)
+		for c := range fresh {
+			fresh[c], _ = nw.ProgramVoltage(c/sh.n, c%sh.n, 2.9) // the error is always nil
+		}
+		d := nw.Delivery()
+		for b := sh.n - 1; b >= 0; b-- {
+			for a := 0; a < sh.m; a++ {
+				if got := d.Voltage(a, b, 2.9); got != fresh[a*sh.n+b] {
+					t.Fatalf("%dx%d cell (%d,%d): reused %v, fresh %v", sh.m, sh.n, a, b, got, fresh[a*sh.n+b])
+				}
+			}
+		}
+	}
+}
+
 func TestProgramVoltageDegrades(t *testing.T) {
 	// All-LRS worst case: delivered voltage must be strictly below full
 	// bias and decrease toward the top of the column (longer ground path).
@@ -255,10 +366,7 @@ func TestDFactorsAndSkewGrowWithSize(t *testing.T) {
 		g := mat.NewMatrix(m, 10)
 		g.Fill(1.0 / device.RonNominal)
 		nw := NewNetwork(g, 2.5)
-		skew, err := nw.DSkew(5, model.Vprog, model.Rate)
-		if err != nil {
-			t.Fatal(err)
-		}
+		skew := nw.DSkew(5, model.Vprog, model.Rate)
 		if skew <= prev {
 			t.Fatalf("D skew not increasing with size: m=%d skew=%v prev=%v", m, skew, prev)
 		}
@@ -276,19 +384,13 @@ func TestDFactorsBounded(t *testing.T) {
 	g := mat.NewMatrix(32, 4)
 	g.Fill(1.0 / device.RonNominal)
 	nw := NewNetwork(g, 2.5)
-	d, err := nw.DFactors(2, model.Vprog, model.Rate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := nw.DFactors(2, model.Vprog, model.Rate)
 	for i, x := range d {
 		if x <= 0 || x > 1 {
 			t.Fatalf("d[%d] = %v out of (0,1]", i, x)
 		}
 	}
-	beta, err := nw.Beta(2, model.Vprog, model.Rate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	beta := nw.Beta(2, model.Vprog, model.Rate)
 	if beta <= 0 || beta >= 1 {
 		t.Fatalf("beta = %v out of (0,1)", beta)
 	}
@@ -357,6 +459,22 @@ func BenchmarkEffectiveWeights784x10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := nw.EffectiveWeights(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDelivery784x10 times one fresh Delivery over all 7,840 cells:
+// 784 row solves, 10 column solves and one 2x2 elimination per cell.
+func BenchmarkDelivery784x10(b *testing.B) {
+	g := randomConductances(23, 784, 10)
+	nw := NewNetwork(g, 2.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := nw.Delivery()
+		for a := 0; a < 784; a++ {
+			for c := 0; c < 10; c++ {
+				d.Voltage(a, c, 2.9)
+			}
 		}
 	}
 }

@@ -1,11 +1,6 @@
 package irdrop
 
-import (
-	"errors"
-	"math"
-
-	"vortex/internal/mat"
-)
+import "errors"
 
 // Floating-line analysis: the classic sneak-path problem appears when
 // unselected word/bit lines are left floating instead of being driven.
@@ -38,6 +33,11 @@ func AllDriven(rows, cols int) LineMask {
 // SolveMasked computes node voltages like Solve, but lines whose mask
 // entry is false are left floating: their driver/termination segment is
 // removed and the line equilibrates through its cells alone.
+//
+// It runs Solve's iteration from a cold start and returns a caller-owned
+// copy, since floating-line analyses hold several solutions side by
+// side. A masked network is a different network, so the workspace is
+// left cold: the next Solve does not warm-start from it.
 func (nw *Network) SolveMasked(vrow, vcol []float64, mask LineMask) (*Solution, error) {
 	m, n := nw.Rows, nw.Cols
 	if len(vrow) != m || len(vcol) != n {
@@ -49,98 +49,14 @@ func (nw *Network) SolveMasked(vrow, vcol []float64, mask LineMask) (*Solution, 
 	if nw.RWire == 0 {
 		return nil, errors.New("irdrop: floating-line analysis needs RWire > 0 (ideal wires have no unique floating solution)")
 	}
-	gw := 1 / nw.RWire
-	u := mat.NewMatrix(m, n)
-	w := mat.NewMatrix(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if mask.Rows[i] {
-				u.Set(i, j, vrow[i])
-			}
-			if mask.Cols[j] {
-				w.Set(i, j, vcol[j])
-			}
-		}
+	ws := nw.workspace()
+	ws.warm = false
+	sol, err := nw.solve(vrow, vcol, &mask)
+	ws.warm = false
+	if err != nil {
+		return nil, err
 	}
-	// U and W are caller-owned (floating-line analyses hold several
-	// solutions side by side); only the Thomas scratch is pooled. The
-	// workspace's Solution — and any warm-start state — is untouched.
-	ws := nw.Workspace()
-	a, b, c, d := ws.a, ws.b, ws.c, ws.d
-
-	tol := nw.tol()
-	for sweep := 0; sweep < nw.maxSweep(); sweep++ {
-		maxDelta := 0.0
-		for i := 0; i < m; i++ {
-			grow := nw.G.Row(i)
-			urow := u.Row(i)
-			wrow := w.Row(i)
-			for j := 0; j < n; j++ {
-				g := grow[j]
-				diag := g
-				rhs := g * wrow[j]
-				if j == 0 && mask.Rows[i] {
-					diag += gw
-					rhs += gw * vrow[i]
-				}
-				if j > 0 {
-					diag += gw
-					a[j] = -gw
-				}
-				if j < n-1 {
-					diag += gw
-					c[j] = -gw
-				}
-				if diag == 0 {
-					diag = 1e-30 // fully isolated node; hold at zero
-				}
-				b[j] = diag
-				d[j] = rhs
-			}
-			thomas(a[:n], b[:n], c[:n], d[:n])
-			for j := 0; j < n; j++ {
-				if dv := math.Abs(d[j] - urow[j]); dv > maxDelta {
-					maxDelta = dv
-				}
-				urow[j] = d[j]
-			}
-		}
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				g := nw.G.At(i, j)
-				diag := g
-				rhs := g * u.At(i, j)
-				if i == m-1 && mask.Cols[j] {
-					diag += gw
-					rhs += gw * vcol[j]
-				}
-				if i > 0 {
-					diag += gw
-					a[i] = -gw
-				}
-				if i < m-1 {
-					diag += gw
-					c[i] = -gw
-				}
-				if diag == 0 {
-					diag = 1e-30
-				}
-				b[i] = diag
-				d[i] = rhs
-			}
-			thomas(a[:m], b[:m], c[:m], d[:m])
-			for i := 0; i < m; i++ {
-				if dv := math.Abs(d[i] - w.At(i, j)); dv > maxDelta {
-					maxDelta = dv
-				}
-				w.Set(i, j, d[i])
-			}
-		}
-		if maxDelta < tol {
-			return &Solution{U: u, W: w}, nil
-		}
-	}
-	return nil, ErrNoConvergence
+	return sol.Clone(), nil
 }
 
 // ReadCellCurrent measures one cell the way a naive in-situ pre-test

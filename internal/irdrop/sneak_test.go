@@ -19,10 +19,11 @@ func TestSolveMaskedAllDrivenMatchesSolve(t *testing.T) {
 	nw := NewNetwork(g, 3)
 	vrow := []float64{1, 0.5, 0, 0.25, 0.75, 1}
 	vcol := make([]float64, 4)
-	ref, err := nw.Solve(vrow, vcol)
+	sol, err := nw.Solve(vrow, vcol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := sol.Clone() // SolveMasked reuses the pooled buffers Solve returned
 	got, err := nw.SolveMasked(vrow, vcol, AllDriven(6, 4))
 	if err != nil {
 		t.Fatal(err)

@@ -48,14 +48,14 @@ func TestWarmAndColdSolvesAgree(t *testing.T) {
 			if err := warm.ReadInto(out, vin); err != nil {
 				t.Fatalf("seed %d step %d: warm read: %v", seed, step, err)
 			}
-			warmSol := warm.Workspace().sol.Clone()
+			warmSol := warm.workspace().sol.Clone()
 
 			cold := NewNetwork(g.Clone(), 2.5)
 			cold.Tol = 1e-13
 			if err := cold.ReadInto(coldOut, vin); err != nil {
 				t.Fatalf("seed %d step %d: cold read: %v", seed, step, err)
 			}
-			coldSol := cold.Workspace().sol
+			coldSol := cold.workspace().sol
 
 			for k := range out {
 				if d := math.Abs(out[k] - coldOut[k]); d > warmColdTol {
@@ -104,8 +104,8 @@ func TestWarmStartCutsSweeps(t *testing.T) {
 			warmSweeps, coldSweeps)
 	}
 
-	// Workspace.Reset must force a cold start again.
-	nw.Workspace().Reset()
+	// Clearing the warm state must force a cold start again.
+	nw.workspace().warm = false
 	if err := nw.ReadInto(out, vin); err != nil {
 		t.Fatal(err)
 	}

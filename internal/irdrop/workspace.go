@@ -2,24 +2,22 @@ package irdrop
 
 import "vortex/internal/mat"
 
-// Workspace holds every buffer the block Gauss-Seidel solver needs for a
-// fixed network geometry: the Thomas-algorithm scratch vectors shared by
-// all ladder solves, the pooled Solution (node-voltage) matrices that
-// Solve writes into, the two-ladder scratch of ProgramVoltage, and the
-// warm-start state carried between solves.
+// workspace holds every buffer the solvers need for a fixed network
+// geometry: the Thomas-algorithm scratch vectors shared by all ladder
+// solves, the pooled Solution (node-voltage) matrices that Solve writes
+// into, the warm-start state carried between solves, and the Delivery
+// of the programming solve.
 //
 // A Network lazily creates one workspace on first use and keeps it for
 // its lifetime, so repeated Solve/Read/EffectiveWeights calls on the
 // same network are allocation-free in steady state. Callers that refresh
 // the network's conductance matrix in place (the circuit backend does,
 // between programming passes) additionally get warm starts: the next
-// Solve begins from the previous converged node voltages, which cuts
-// sweeps-to-convergence sharply when conductances moved only slightly
-// (Monte-Carlo perturbations, CLD epochs).
+// Solve begins from the previous converged node voltages.
 //
 // A workspace belongs to one network at a time and is not safe for
 // concurrent use, matching the hw.Array contract.
-type Workspace struct {
+type workspace struct {
 	rows, cols int
 
 	// Thomas scratch for the larger of the two ladder lengths.
@@ -32,11 +30,12 @@ type Workspace struct {
 	// as the next solve's starting point.
 	warm bool
 
-	// sweeps spent by the most recent Solve (0 for ideal wires).
+	// sweeps spent by the most recent solve (0 for ideal wires).
 	sweeps int
 
-	// ProgramVoltage two-ladder scratch: selected row and column.
-	pu, pw []float64
+	// del is the programming solve; Network.Delivery restarts it and
+	// allocates its buffers on first use.
+	del Delivery
 
 	// Zero column-drive vector for Read, and a mutable column drive for
 	// EffectiveWeights' adjoint solves (kept all-zero between calls).
@@ -44,13 +43,10 @@ type Workspace struct {
 	vcol  []float64
 }
 
-// NewWorkspace returns a workspace sized for a rows x cols network.
-func NewWorkspace(rows, cols int) *Workspace {
-	k := cols
-	if rows > k {
-		k = rows
-	}
-	return &Workspace{
+// newWorkspace returns a workspace sized for a rows x cols network.
+func newWorkspace(rows, cols int) *workspace {
+	k := max(rows, cols)
+	return &workspace{
 		rows:  rows,
 		cols:  cols,
 		a:     make([]float64, k),
@@ -58,36 +54,24 @@ func NewWorkspace(rows, cols int) *Workspace {
 		c:     make([]float64, k),
 		d:     make([]float64, k),
 		sol:   Solution{U: mat.NewMatrix(rows, cols), W: mat.NewMatrix(rows, cols)},
-		pu:    make([]float64, cols),
-		pw:    make([]float64, rows),
 		vzero: make([]float64, rows),
 		vcol:  make([]float64, cols),
 	}
 }
 
-// Reset discards the warm-start state, forcing the next Solve to start
-// cold from the driven values. Use it when the network's conductances
-// changed so much that the previous solution is no longer a useful
-// starting point, or to reproduce a cold solve exactly.
-func (ws *Workspace) Reset() { ws.warm = false }
-
-// Sweeps returns the number of block sweeps the most recent Solve on
-// this workspace spent to converge (0 for an ideal-wire network, where
-// no iteration runs).
-func (ws *Workspace) Sweeps() int { return ws.sweeps }
-
-// Workspace returns the network's solver workspace, creating it on first
+// workspace returns the network's solver workspace, creating it on first
 // use. The workspace — including its warm-start state — persists across
 // Solve/Read/EffectiveWeights calls for the network's lifetime.
-func (nw *Network) Workspace() *Workspace {
+func (nw *Network) workspace() *workspace {
 	if nw.ws == nil || nw.ws.rows != nw.Rows || nw.ws.cols != nw.Cols {
-		nw.ws = NewWorkspace(nw.Rows, nw.Cols)
+		nw.ws = newWorkspace(nw.Rows, nw.Cols)
 	}
 	return nw.ws
 }
 
 // Sweeps returns the number of block sweeps spent by the most recent
-// Solve on this network (0 before any solve and for ideal wires).
+// Solve or SolveMasked on this network (0 before any solve and for ideal
+// wires).
 func (nw *Network) Sweeps() int {
 	if nw.ws == nil {
 		return 0

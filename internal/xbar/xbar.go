@@ -53,10 +53,10 @@ type Crossbar struct {
 
 	// The conductance snapshot is cached and refreshed in place only
 	// after cells may have changed, and the parasitic network (with its
-	// warm-started solver workspace) is built once and kept for the
-	// crossbar's lifetime, so the adjoint solves of EffectiveWeights and
-	// the delivered-voltage solves of ProgramBatch start from the
-	// previous converged node voltages.
+	// solver workspace) is built once and kept for the crossbar's
+	// lifetime, so the adjoint solves of EffectiveWeights start from the
+	// previous converged node voltages and ProgramBatch's delivered-
+	// voltage solves reuse their buffers.
 	gcache *mat.Matrix     // cached observable conductances; nil until first use
 	gdirty bool            // cells may have changed since gcache was filled
 	net    *irdrop.Network // persistent network over gcache (RWire > 0)
@@ -142,8 +142,9 @@ func (x *Crossbar) conductances() *mat.Matrix {
 
 // network returns the persistent parasitic network over the cached
 // conductances. The network's solver workspace — Thomas scratch, pooled
-// solution buffers and the warm-start state — survives across calls, so
-// consecutive solves start from the previous converged node voltages.
+// solution buffers, the warm-start state and the Delivery buffers —
+// survives across calls, so consecutive solves start from the previous
+// converged node voltages.
 func (x *Crossbar) network() *irdrop.Network {
 	g := x.conductances() // refresh the shared matrix first
 	if x.net == nil {
@@ -193,13 +194,12 @@ func (x *Crossbar) ProgramBatch(pulses []CellPulse, opts ProgramOptions) error {
 	start := x.met.Start()
 	pulsesBefore := x.stats.Pulses
 	m, n := x.cfg.Rows, x.cfg.Cols
-	var nw *irdrop.Network
+	var del *irdrop.Delivery
 	if x.cfg.RWire > 0 {
-		// The persistent network: its conductances are refreshed here and
-		// then stay fixed for the batch, so every delivered voltage is
-		// solved against the state at the start of the batch (the same
-		// contract as before; the solver scratch is just pooled now).
-		nw = x.network()
+		// The persistent network's conductances are refreshed here and
+		// then stay fixed for the batch, so one Delivery serves every
+		// pulse and solves each touched row and column once.
+		del = x.network().Delivery()
 	}
 	// Disturb accumulators: per-row and per-column half-select exposure
 	// seconds, split by polarity, plus the per-cell self exposure to
@@ -223,11 +223,8 @@ func (x *Crossbar) ProgramBatch(pulses []CellPulse, opts ProgramOptions) error {
 			continue
 		}
 		delivered := p.Voltage
-		if nw != nil {
-			dv, err := nw.ProgramVoltage(cp.Row, cp.Col, math.Abs(p.Voltage))
-			if err != nil {
-				return err
-			}
+		if del != nil {
+			dv := del.Voltage(cp.Row, cp.Col, math.Abs(p.Voltage))
 			if p.Voltage < 0 {
 				dv = -dv
 			}

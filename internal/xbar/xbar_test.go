@@ -157,6 +157,64 @@ func TestProgramBatchOutOfRange(t *testing.T) {
 	}
 }
 
+// TestProgramBatchRefreshesLineSolves checks that a batch solves its
+// delivered voltages against the conductances at its own start: the
+// first batch SETs column 1 to LRS, so a second-batch pulse on (5, 1),
+// whose row and column that batch already solved, must deliver what a
+// fresh solve of the moved array gives. Stats().Energy accumulates the
+// delivered voltage squared, which makes the voltage observable.
+func TestProgramBatchRefreshesLineSolves(t *testing.T) {
+	cfg := baseConfig(64, 4)
+	cfg.RWire = 2.5
+	model := cfg.Model
+	x := mustNew(t, cfg, 3)
+	var set []CellPulse
+	for i := 0; i < cfg.Rows; i++ {
+		set = append(set, CellPulse{Row: i, Col: 1, Pulse: model.PulseForTarget(x.Cell(i, 1).X, model.XMin())})
+	}
+	if err := x.ProgramBatch(set, ProgramOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	cell := x.Cell(5, 1)
+	p := model.PulseForTarget(cell.X, math.Log(50e3))
+	dv, err := x.Network().ProgramVoltage(5, 1, math.Abs(p.Voltage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gBefore, before := cell.Conductance(model), x.Stats().Energy
+	if err := x.ProgramBatch([]CellPulse{{Row: 5, Col: 1, Pulse: p}}, ProgramOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got := x.Stats().Energy - before
+	want := dv * dv * p.Width * (gBefore + cell.Conductance(model)) / 2
+	if math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("second batch's pulse energy %.9g, want %.9g from a fresh solve (delivered %.6g V)", got, want, dv)
+	}
+}
+
+// TestProgramBatchOnePulseAllocsZero checks that a one-pulse batch, the
+// shape ProgramVerify sends, reuses the network's Delivery buffers and
+// allocates nothing once they exist.
+func TestProgramBatchOnePulseAllocsZero(t *testing.T) {
+	cfg := baseConfig(196, 10)
+	cfg.RWire = 2.5
+	x := mustNew(t, cfg, 3)
+	k := 0
+	pulse := func() {
+		i, j := k%cfg.Rows, k%cfg.Cols
+		p := cfg.Model.PulseForTarget(x.Cell(i, j).X, math.Log(50e3+float64(k%7)*1e3))
+		if err := x.ProgramBatch([]CellPulse{{Row: i, Col: j, Pulse: p}}, ProgramOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	pulse()
+	if allocs := testing.AllocsPerRun(100, pulse); allocs != 0 {
+		t.Fatalf("one-pulse ProgramBatch allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestIRDropUnderprogramsWithoutCompensation(t *testing.T) {
 	// Worst case: a large all-LRS-bound column with wire resistance. The
 	// top cells must land short of the target without compensation and on
