@@ -20,6 +20,7 @@ race:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/hw/
 	$(GO) test -race ./internal/mat/
+	$(GO) test -race ./internal/opt/
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
 	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
 	$(GO) test -race ./cmd/vortexsim/

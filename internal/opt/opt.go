@@ -140,9 +140,24 @@ func hinge(x, w, v []float64, y, dot, gamma, rho float64) (loss, vnorm float64) 
 	return loss, vnorm
 }
 
+// overlapMin is the smallest pass, in multiply-adds (samples x features),
+// whose early-stop loss TrainColumn computes on a second goroutine. Below
+// it, starting and waking that goroutine every epoch costs more than the
+// overlap saves (DESIGN.md §4.1 has the sweep).
+const overlapMin = 1 << 17
+
 // TrainColumn solves the program with projected SGD and returns the
 // weight vector. The sample order is shuffled per epoch using src, so
 // training is deterministic in the seed.
+//
+// Training stops once the mean loss changes by less than Tol from one
+// epoch to the next. Epoch e's loss decides whether epoch e+1 stands, so
+// it is computed on a snapshot of w while epoch e+1 runs: on a second
+// goroutine from overlapMin multiply-adds per pass, inline below it. If
+// the loss says stop, src is rolled back to before epoch e+1's shuffle
+// and the snapshot is returned, so the weights and src's state are
+// those of a loop that tests the loss before each epoch. TrainColumn
+// waits for the goroutine before it returns.
 func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -159,61 +174,92 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 		order[i] = i
 	}
 	rate := cfg.Rate
-	prevLoss := math.Inf(1)
 	v := make([]float64, n) // scratch for x o w
-	var dots [4]float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	epoch := func() {
 		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		// Score the next four positions per mat.Dot4 call (a pass's last
-		// three one mat.Dot each) against the current w, then visit them
-		// in order. A step replaces w and leaves the later scores stale,
-		// so the pass rescores from the position after it; most samples
-		// take no step.
-		for k := 0; k < s; {
-			m := 1
-			if s-k >= 4 {
-				m = 4
-				dots[0], dots[1], dots[2], dots[3] = mat.Dot4(p.X.Row(order[k]), p.X.Row(order[k+1]),
-					p.X.Row(order[k+2]), p.X.Row(order[k+3]), w)
-			} else {
-				dots[0] = mat.Dot(p.X.Row(order[k]), w)
-			}
-			for _, dot := range dots[:m] {
-				idx := order[k]
-				k++
-				x := p.X.Row(idx)
-				y := p.Y[idx]
-				// Evaluate the active constraint.
-				l, vnorm := hinge(x, w, v, y, dot, p.Gamma, p.Rho)
-				if l <= 0 {
-					continue // satisfied with slack zero: no sub-gradient
-				}
-				// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
-				coef := 0.0
-				if vnorm > 1e-30 {
-					coef = p.Gamma * p.Rho / vnorm
-				}
-				for q := 0; q < n; q++ {
-					g := -y*x[q] + coef*x[q]*x[q]*w[q]
-					wq := w[q] - rate*g
-					if wq > cfg.WMax {
-						wq = cfg.WMax
-					} else if wq < -cfg.WMax {
-						wq = -cfg.WMax
-					}
-					w[q] = wq
-				}
-				break // the block's later scores are stale
-			}
-		}
+		sgdPass(p, order, w, v, rate, cfg.WMax)
 		rate *= cfg.RateDecay
-		loss := MeanLoss(p, w)
+	}
+	epoch()
+	overlap := s*n >= overlapMin
+	prev := make([]float64, n) // w as the previous epoch left it
+	prevLoss := math.Inf(1)
+	// One slot: the goroutine never waits for the receive, and the
+	// inline path sends before it receives.
+	lossc := make(chan float64, 1)
+	for e := 1; e < cfg.Epochs; e++ {
+		saved := *src
+		copy(prev, w)
+		if overlap {
+			go func() { lossc <- MeanLoss(p, prev) }()
+		} else {
+			lossc <- MeanLoss(p, prev)
+		}
+		epoch()
+		loss := <-lossc
 		if math.Abs(prevLoss-loss) < cfg.Tol {
-			break
+			*src = saved // epoch e never ran
+			return prev, nil
+		}
+		if loss == 0 {
+			// Every sample met its margin, so epoch e took no step (its
+			// pass shares hinge with MeanLoss) and its loss is 0 again,
+			// which would stop the loop here.
+			return w, nil
 		}
 		prevLoss = loss
 	}
 	return w, nil
+}
+
+// sgdPass visits the samples in order and takes a projected sub-gradient
+// step on w at rate for every sample that violates its margin. v is
+// scratch for x o w.
+//
+// It scores the next four positions per mat.Dot4 call (a pass's last
+// three one mat.Dot each) against the current w, then visits them in
+// order. A step replaces w and leaves the later scores stale, so the
+// pass rescores from the position after it; most samples take no step.
+func sgdPass(p Problem, order []int, w, v []float64, rate, wmax float64) {
+	s := len(order)
+	var dots [4]float64
+	for k := 0; k < s; {
+		m := 1
+		if s-k >= 4 {
+			m = 4
+			dots[0], dots[1], dots[2], dots[3] = mat.Dot4(p.X.Row(order[k]), p.X.Row(order[k+1]),
+				p.X.Row(order[k+2]), p.X.Row(order[k+3]), w)
+		} else {
+			dots[0] = mat.Dot(p.X.Row(order[k]), w)
+		}
+		for _, dot := range dots[:m] {
+			idx := order[k]
+			k++
+			x := p.X.Row(idx)
+			y := p.Y[idx]
+			// Evaluate the active constraint.
+			l, vnorm := hinge(x, w, v, y, dot, p.Gamma, p.Rho)
+			if l <= 0 {
+				continue // satisfied with slack zero: no sub-gradient
+			}
+			// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
+			coef := 0.0
+			if vnorm > 1e-30 {
+				coef = p.Gamma * p.Rho / vnorm
+			}
+			for q := range w {
+				g := -y*x[q] + coef*x[q]*x[q]*w[q]
+				wq := w[q] - rate*g
+				if wq > wmax {
+					wq = wmax
+				} else if wq < -wmax {
+					wq = -wmax
+				}
+				w[q] = wq
+			}
+			break // the block's later scores are stale
+		}
+	}
 }
 
 // TrainAll trains one column per class with 1-vs-all targets and returns
@@ -250,9 +296,10 @@ func Accuracy(x *mat.Matrix, labels []int, w *mat.Matrix) float64 {
 	if x.Rows == 0 {
 		return 0
 	}
+	scores := make([]float64, w.Cols)
 	correct := 0
 	for i := 0; i < x.Rows; i++ {
-		scores := scoreRow(x.Row(i), w)
+		scoreRow(scores, x.Row(i), w)
 		if mat.ArgMax(scores) == labels[i] {
 			correct++
 		}
@@ -260,8 +307,9 @@ func Accuracy(x *mat.Matrix, labels []int, w *mat.Matrix) float64 {
 	return float64(correct) / float64(x.Rows)
 }
 
-func scoreRow(x []float64, w *mat.Matrix) []float64 {
-	scores := make([]float64, w.Cols)
+// scoreRow overwrites scores with x*W.
+func scoreRow(scores, x []float64, w *mat.Matrix) {
+	clear(scores)
 	for q, xv := range x {
 		if xv == 0 {
 			continue
@@ -271,5 +319,4 @@ func scoreRow(x []float64, w *mat.Matrix) []float64 {
 			scores[c] += xv * wv
 		}
 	}
-	return scores
 }

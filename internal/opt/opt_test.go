@@ -2,9 +2,13 @@ package opt
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"vortex/internal/dataset"
 	"vortex/internal/mat"
 	"vortex/internal/rng"
 	"vortex/internal/stats"
@@ -254,5 +258,107 @@ func TestTrainAllValidation(t *testing.T) {
 func TestAccuracyEmpty(t *testing.T) {
 	if Accuracy(mat.NewMatrix(0, 3), nil, mat.NewMatrix(3, 2)) != 0 {
 		t.Fatal("empty accuracy should be 0")
+	}
+}
+
+// TestAccuracyAllocs: Accuracy allocates at most one scores vector per
+// call, not one per sample.
+func TestAccuracyAllocs(t *testing.T) {
+	p := sparseProblem(3, 203, 49, 0)
+	w := mat.NewMatrix(49, 10)
+	rng.New(4).NormVec(w.Data, len(w.Data), 0.1)
+	labels := make([]int, p.X.Rows)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Accuracy(p.X, labels, w) }); allocs > 1 {
+		t.Fatalf("Accuracy allocates %v per call over %d samples, want at most 1", allocs, p.X.Rows)
+	}
+}
+
+// goroutinesBackTo reports whether runtime.NumGoroutine falls to want
+// within a second. A goroutine that has handed over its result still
+// has to exit, so the count may lag the return that waited for it by a
+// moment.
+func goroutinesBackTo(want int) bool {
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// TestTrainColumnLeavesNoGoroutine: on every exit of the epoch loop,
+// above overlapMin and below it, TrainColumn returns only once the
+// goroutine computing the early-stop loss has finished.
+func TestTrainColumnLeavesNoGoroutine(t *testing.T) {
+	cases := []struct {
+		name   string
+		s, n   int
+		margin float64
+		cfg    SGDConfig
+	}{
+		{"ran every epoch", 1201, 128, 0, SGDConfig{Epochs: 5}},
+		{"stopped at loss 0", 1201, 128, 6, SGDConfig{}},
+		{"stopped at a loss change below Tol", 1201, 128, 0, SGDConfig{Tol: 1e-2}},
+		{"below overlapMin", 250, 49, 0, SGDConfig{Epochs: 5}},
+	}
+	for _, c := range cases {
+		p := sparseProblem(41, c.s, c.n, c.margin)
+		before := runtime.NumGoroutine()
+		if _, err := TrainColumn(p, c.cfg, rng.New(3)); err != nil {
+			t.Fatal(err)
+		}
+		if !goroutinesBackTo(before) {
+			t.Fatalf("%s: %d goroutines after TrainColumn returned, %d before", c.name, runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestTrainAllConcurrentCalls: TrainAll calls running at once over one
+// shared sample matrix, as parallelTrials runs its trials, each return
+// what the same call returns alone. Run it under -race.
+func TestTrainAllConcurrentCalls(t *testing.T) {
+	train, _, err := dataset.Digits(70, 0, 2, 9) // 700 x 196, above overlapMin
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, labels := train.ToMatrix()
+	if x.Rows*x.Cols < overlapMin {
+		t.Fatalf("%d x %d is below overlapMin", x.Rows, x.Cols)
+	}
+	rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
+	cfg := SGDConfig{Epochs: 6}
+	const calls = 4
+	gamma := func(i int) float64 { return 0.05 * float64(i%2) }
+	want := make([]*mat.Matrix, calls)
+	for i := range want {
+		if want[i], err = TrainAll(x, labels, dataset.NumClasses, gamma(i), rho, cfg, rng.New(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*mat.Matrix, calls)
+	errs := make([]error, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = TrainAll(x, labels, dataset.NumClasses, gamma(i), rho, cfg, rng.New(uint64(i)))
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for k, v := range got[i].Data {
+			if math.Float64bits(v) != math.Float64bits(want[i].Data[k]) {
+				t.Fatalf("call %d: weight %d = %v concurrently, %v alone", i, k, v, want[i].Data[k])
+			}
+		}
 	}
 }

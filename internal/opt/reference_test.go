@@ -102,9 +102,9 @@ func refTrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error
 
 // sparseProblem draws s samples of n features in [0, 1), about a third
 // of them exact zeros like a digit's background. Targets follow a hidden
-// weight vector with a margin of at least 0.5, or are coin flips when
-// noisy, so no w separates them.
-func sparseProblem(seed uint64, s, n int, noisy bool) Problem {
+// weight vector, keeping only samples it scores at least margin from 0,
+// or are coin flips when margin is 0, so no w separates them.
+func sparseProblem(seed uint64, s, n int, margin float64) Problem {
 	src := rng.New(seed)
 	wTrue := src.NormVec(nil, n, 1)
 	x := mat.NewMatrix(s, n)
@@ -118,11 +118,11 @@ func sparseProblem(seed uint64, s, n int, noisy bool) Problem {
 					row[q] = src.Float64()
 				}
 			}
-			if noisy {
+			if margin == 0 {
 				y[i] = float64(2*src.Intn(2) - 1)
 				break
 			}
-			if m := mat.Dot(row, wTrue); math.Abs(m) >= 0.5 {
+			if m := mat.Dot(row, wTrue); math.Abs(m) >= margin {
 				y[i] = math.Copysign(1, m)
 				break
 			}
@@ -148,37 +148,70 @@ func epochsRun(seed uint64, s, limit int, next uint64) int {
 	return -1
 }
 
+// exit names how a trainer left its epoch loop, as seen from its result:
+// the epochs it drew shuffles for and the mean loss of its weights.
+type exit string
+
+const (
+	ranOut   exit = "ran every epoch"
+	zeroLoss exit = "stopped at loss 0"
+	stopped  exit = "stopped at a loss change below Tol"
+)
+
+func exitOf(ran, epochs int, loss float64) exit {
+	switch {
+	case loss == 0:
+		return zeroLoss
+	case ran == epochs:
+		return ranOut
+	default:
+		return stopped
+	}
+}
+
 // TestTrainColumnMatchesReference: the blocked trainer returns the
 // reference's weights bit for bit and leaves the source where the
 // reference does, for GDT and VAT, at every sample count mod 4 and below
-// four, with early stopping firing, never firing, and after one epoch.
-// MeanLoss and SampleLoss match the reference's on the trained weights.
+// four, after one and two epochs, and on every exit: running out of
+// epochs, stopping at loss 0 and stopping at a non-zero loss. The cases
+// from 1201 x 128 up are above overlapMin, so their early-stop loss runs
+// on a second goroutine. MeanLoss and SampleLoss match the reference's
+// on the trained weights.
 func TestTrainColumnMatchesReference(t *testing.T) {
-	const never = 60 // SGDConfig's default epoch count
+	gammas := []float64{0, 0.05, 0.5}
 	cases := []struct {
 		s, n   int
-		noisy  bool
+		margin float64 // 0: coin-flip targets
 		cfg    SGDConfig
-		epochs int // epochs that must run at gamma 0; 0 if not asserted
+		exits  [3]exit // at each of gammas
 	}{
-		{s: 1, n: 7},
-		{s: 2, n: 7},
-		{s: 3, n: 7},
-		{s: 4, n: 7},
-		{s: 5, n: 7},
-		{s: 250, n: 49, cfg: SGDConfig{Epochs: 200, Rate: 0.1}, epochs: -1}, // stops early
-		{s: 1201, n: 49, noisy: true, epochs: never},
-		{s: 1201, n: 49, noisy: true, cfg: SGDConfig{Epochs: 1}, epochs: 1},
-		{s: 250, n: 49, noisy: true, cfg: SGDConfig{Epochs: 1}, epochs: 1},
+		// A one-sample shuffle draws nothing, so at s 1 only a zero loss
+		// tells the exit.
+		{s: 1, n: 7, margin: 0.5, exits: [3]exit{zeroLoss, zeroLoss, ""}},
+		{s: 2, n: 7, margin: 0.5, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 3, n: 7, margin: 0.5, exits: [3]exit{zeroLoss, ranOut, ranOut}},
+		{s: 4, n: 7, margin: 0.5, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 5, n: 7, margin: 0.5, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 250, n: 49, margin: 0.5, cfg: SGDConfig{Epochs: 200, Rate: 0.1}, exits: [3]exit{zeroLoss, ranOut, stopped}},
+		{s: 1201, n: 49, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 1201, n: 49, cfg: SGDConfig{Epochs: 1}, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 250, n: 49, cfg: SGDConfig{Epochs: 1}, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 1201, n: 128, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 1201, n: 128, margin: 6, exits: [3]exit{zeroLoss, zeroLoss, ranOut}},
+		{s: 1201, n: 128, cfg: SGDConfig{Tol: 1e-2}, exits: [3]exit{stopped, stopped, stopped}},
+		{s: 1201, n: 128, cfg: SGDConfig{Epochs: 1}, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 1201, n: 128, cfg: SGDConfig{Epochs: 2}, exits: [3]exit{ranOut, ranOut, ranOut}},
+		{s: 1201, n: 128, margin: 6, cfg: SGDConfig{Epochs: 2}, exits: [3]exit{ranOut, ranOut, ranOut}},
 	}
+	overlapped := map[exit]bool{} // exits taken above overlapMin
 	for ci, c := range cases {
-		for _, gamma := range []float64{0, 0.05, 0.5} {
-			p := sparseProblem(uint64(31+ci), c.s, c.n, c.noisy)
+		for gi, gamma := range gammas {
+			p := sparseProblem(uint64(31+ci), c.s, c.n, c.margin)
 			p.Gamma = gamma
 			if gamma > 0 {
 				p.Rho = stats.ThetaNormBound(0.6, c.n, 0.9)
 			}
-			name := fmt.Sprintf("s %d n %d noisy %v epochs %d gamma %v", c.s, c.n, c.noisy, c.cfg.Epochs, gamma)
+			name := fmt.Sprintf("s %d n %d margin %v %+v gamma %v", c.s, c.n, c.margin, c.cfg, gamma)
 			seed := uint64(1000 + ci)
 			src, refSrc := rng.New(seed), rng.New(seed)
 			w, err := TrainColumn(p, c.cfg, src)
@@ -198,14 +231,18 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 			if next != refNext {
 				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
 			}
-			if gamma == 0 && c.epochs != 0 {
-				ran := epochsRun(seed, c.s, c.cfg.withDefaults().Epochs, next)
-				if (c.epochs < 0 && (ran < 1 || ran >= c.cfg.Epochs)) || (c.epochs > 0 && ran != c.epochs) {
-					t.Fatalf("%s: ran %d epochs, case wants %d (-1: stop early)", name, ran, c.epochs)
-				}
-			}
-			if l, ref := MeanLoss(p, w), refMeanLoss(p, w); math.Float64bits(l) != math.Float64bits(ref) {
+			l := MeanLoss(p, w)
+			if ref := refMeanLoss(p, w); math.Float64bits(l) != math.Float64bits(ref) {
 				t.Fatalf("%s: MeanLoss %v, reference %v", name, l, ref)
+			}
+			epochs := c.cfg.withDefaults().Epochs
+			ran := epochsRun(seed, c.s, epochs, next)
+			got := exitOf(ran, epochs, l)
+			if c.exits[gi] != "" && got != c.exits[gi] {
+				t.Errorf("%s: %s after %d of %d epochs at loss %v, case wants %s", name, got, ran, epochs, l, c.exits[gi])
+			}
+			if c.s*c.n >= overlapMin {
+				overlapped[got] = true
 			}
 			for i := 0; i < p.X.Rows && i < 5; i++ {
 				l := SampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho)
@@ -215,12 +252,63 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for _, e := range []exit{ranOut, zeroLoss, stopped} {
+		if !overlapped[e] {
+			t.Errorf("no case above overlapMin (%d multiply-adds) %s", overlapMin, e)
+		}
+	}
+}
+
+// TestTrainAllMatchesReference: TrainAll's ten columns are ten
+// refTrainColumn calls, in class order, that share one source. It runs
+// on the generated digits at the Quick (250 x 49, below overlapMin) and
+// Default (1,200 x 196, above it) sizes, for GDT and VAT.
+func TestTrainAllMatchesReference(t *testing.T) {
+	sizes := []struct{ perClass, factor, epochs int }{{25, 4, 20}, {120, 2, 40}}
+	for _, sz := range sizes {
+		train, _, err := dataset.Digits(sz.perClass, 0, sz.factor, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, labels := train.ToMatrix()
+		rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
+		cfg := SGDConfig{Epochs: sz.epochs}
+		for _, gamma := range []float64{0, 0.05} {
+			name := fmt.Sprintf("%d x %d gamma %v", x.Rows, x.Cols, gamma)
+			src, refSrc := rng.New(11), rng.New(11)
+			w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := make([]float64, x.Rows)
+			for class := 0; class < dataset.NumClasses; class++ {
+				for i, l := range labels {
+					y[i] = -1
+					if l == class {
+						y[i] = 1
+					}
+				}
+				want, err := refTrainColumn(Problem{X: x, Y: y, Gamma: gamma, Rho: rho}, cfg, refSrc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for q, got := range w.Col(class) {
+					if math.Float64bits(got) != math.Float64bits(want[q]) {
+						t.Fatalf("%s: class %d w[%d] = %v, reference %v", name, class, q, got, want[q])
+					}
+				}
+			}
+			if next, refNext := src.Uint64(), refSrc.Uint64(); next != refNext {
+				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
+			}
+		}
+	}
 }
 
 // TestMeanLossAllocs: MeanLoss allocates nothing without the penalty and
 // one scratch vector per call with it, not one per sample.
 func TestMeanLossAllocs(t *testing.T) {
-	p := sparseProblem(3, 203, 49, true)
+	p := sparseProblem(3, 203, 49, 0)
 	w := rng.New(4).NormVec(nil, 49, 0.1)
 	if allocs := testing.AllocsPerRun(20, func() { MeanLoss(p, w) }); allocs != 0 {
 		t.Fatalf("gamma 0: MeanLoss allocates %v per call, want 0", allocs)
@@ -235,13 +323,22 @@ func TestMeanLossAllocs(t *testing.T) {
 var benchSink *mat.Matrix
 
 // BenchmarkTrainAll trains the ten 1-vs-all columns on the generated
-// digits at the experiments' Default (1,200 x 196, 40 epochs) and Full
-// (4,000 x 784, 60 epochs) sizes, for GDT and VAT at gamma 0.05.
+// digits, for GDT and for VAT at gamma 0.05, at the experiments' Quick
+// (250 x 49, 20 epochs), Default (1,200 x 196, 40 epochs) and Full
+// (4,000 x 784, 60 epochs) sizes, and at 600 x 196 and 800 x 196 (40
+// epochs), one on each side of overlapMin. Run it at -cpu 1,2: the
+// early-stop loss overlaps the next pass only on a free second core.
 func BenchmarkTrainAll(b *testing.B) {
 	sizes := []struct {
 		name                    string
 		perClass, factor, epoch int
-	}{{"default", 120, 2, 40}, {"full", 400, 1, 60}}
+	}{
+		{"quick", 25, 4, 20},
+		{"600x196", 60, 2, 40},
+		{"800x196", 80, 2, 40},
+		{"default", 120, 2, 40},
+		{"full", 400, 1, 60},
+	}
 	for _, sz := range sizes {
 		train, _, err := dataset.Digits(sz.perClass, 0, sz.factor, 1001)
 		if err != nil {
