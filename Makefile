@@ -51,8 +51,9 @@ doccheck:
 # Short fuzz sessions over the quantizer, the device dynamics, the
 # binary protocol's frame decoders, the /v1/classify JSON body (the
 # handler's contract and the body decoder against encoding/json), the
-# Prometheus exposition validator, checkpoint files and the -chaos mode
-# parser.
+# Prometheus exposition validator, checkpoint files, the -chaos mode
+# parser and the reduced-resolution digit render (against rendering at
+# full resolution, then decimating).
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzValidatePrometheus -fuzztime 30s
 	$(GO) test ./internal/experiment/ -run '^$$' -fuzz FuzzCheckpointFile -fuzztime 30s
 	$(GO) test ./internal/chaos/ -run '^$$' -fuzz FuzzParseMode -fuzztime 30s
+	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzDecimatedRender -fuzztime 30s
 
 experiments:
 	$(GO) run ./cmd/vortexsim -exp all -scale default

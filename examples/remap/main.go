@@ -30,19 +30,8 @@ func main() {
 	flag.Parse()
 
 	// A 7x7 digit task: 49 logical rows, 10 outputs, 8 redundant rows.
-	cfg := dataset.DefaultConfig()
-	trainSet, err := dataset.GenerateBalanced(cfg, 60, rng.New(*seed))
+	trainSet, testSet, err := dataset.Digits(60, 30, 4, *seed)
 	if err != nil {
-		log.Fatal(err)
-	}
-	testSet, err := dataset.GenerateBalanced(cfg, 30, rng.New(*seed+1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if trainSet, err = dataset.Undersample(trainSet, 4, dataset.Decimate); err != nil {
-		log.Fatal(err)
-	}
-	if testSet, err = dataset.Undersample(testSet, 4, dataset.Decimate); err != nil {
 		log.Fatal(err)
 	}
 

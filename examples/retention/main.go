@@ -31,19 +31,8 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := dataset.DefaultConfig()
-	trainSet, err := dataset.GenerateBalanced(cfg, 120, rng.New(*seed))
+	trainSet, testSet, err := dataset.Digits(120, 60, 2, *seed)
 	if err != nil {
-		log.Fatal(err)
-	}
-	testSet, err := dataset.GenerateBalanced(cfg, 60, rng.New(*seed+1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if trainSet, err = dataset.Undersample(trainSet, 2, dataset.Decimate); err != nil {
-		log.Fatal(err)
-	}
-	if testSet, err = dataset.Undersample(testSet, 2, dataset.Decimate); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,8 +8,9 @@
 // reports as the model-limited maximum for its network on MNIST.
 //
 // The package also provides the under-sampling used by the paper's
-// Table 1 (28x28 -> 14x14 -> 7x7 average pooling) and deterministic
-// train/validation/test splitting.
+// Table 1 (28x28 -> 14x14 -> 7x7), Digits, which renders the protocols'
+// train and test sets straight at the reduced resolution, and
+// deterministic train/validation/test splitting.
 package dataset
 
 import (
@@ -115,7 +116,7 @@ func Generate(cfg Config, n int, src *rng.Source) (*Set, error) {
 	set := &Set{Size: cfg.Size, Samples: make([]Sample, n)}
 	for i := range set.Samples {
 		label := src.Intn(NumClasses)
-		set.Samples[i] = Sample{Pixels: renderDigit(cfg, label, src), Label: label}
+		set.Samples[i] = Sample{Pixels: renderDigit(cfg, label, 1, src), Label: label}
 	}
 	return set, nil
 }
@@ -123,7 +124,18 @@ func Generate(cfg Config, n int, src *rng.Source) (*Set, error) {
 // GenerateBalanced produces exactly perClass samples of every class, in
 // shuffled order.
 func GenerateBalanced(cfg Config, perClass int, src *rng.Source) (*Set, error) {
+	return generateBalanced(cfg, perClass, 1, src)
+}
+
+// generateBalanced is GenerateBalanced rendered straight at resolution
+// cfg.Size/factor. Its set is, bit for bit,
+// Undersample(GenerateBalanced(cfg, perClass, src), factor, Decimate),
+// and src ends where that full render leaves it.
+func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkFactor(cfg.Size, factor); err != nil {
 		return nil, err
 	}
 	if perClass < 0 {
@@ -132,11 +144,11 @@ func GenerateBalanced(cfg Config, perClass int, src *rng.Source) (*Set, error) {
 	if src == nil {
 		return nil, errors.New("dataset: nil rng source")
 	}
-	set := &Set{Size: cfg.Size, Samples: make([]Sample, 0, perClass*NumClasses)}
+	set := &Set{Size: cfg.Size / factor, Samples: make([]Sample, 0, perClass*NumClasses)}
 	for label := 0; label < NumClasses; label++ {
 		for k := 0; k < perClass; k++ {
 			set.Samples = append(set.Samples, Sample{
-				Pixels: renderDigit(cfg, label, src),
+				Pixels: renderDigit(cfg, label, factor, src),
 				Label:  label,
 			})
 		}
@@ -147,10 +159,17 @@ func GenerateBalanced(cfg Config, perClass int, src *rng.Source) (*Set, error) {
 	return set, nil
 }
 
-// renderDigit rasterizes one distorted glyph.
-func renderDigit(cfg Config, label int, src *rng.Source) []float64 {
+// renderDigit rasterizes one distorted glyph and returns the pixels
+// Decimate by factor keeps of it: the centre tap of every factor x factor
+// block of the cfg.Size x cfg.Size image, which factor must divide. It
+// computes only those pixels, each from the same expression and the same
+// draws as the full render, and it draws from src exactly what the full
+// render draws, so factor 1 is the full render and any other factor is
+// its decimation, bit for bit.
+func renderDigit(cfg Config, label, factor int, src *rng.Source) []float64 {
 	n := cfg.Size
-	px := make([]float64, n*n)
+	ns := n / factor
+	px := make([]float64, ns*ns)
 	// Random affine transform about the glyph center (0.5, 0.5).
 	scale := 1 + (2*src.Float64()-1)*cfg.ScaleJit
 	rot := (2*src.Float64() - 1) * cfg.Rotate
@@ -189,53 +208,82 @@ func renderDigit(cfg Config, label int, src *rng.Source) []float64 {
 			xs[k], ys[k] = transform(p)
 		}
 		for s := 0; s+1 < len(pl); s++ {
-			strokeSegment(px, n, xs[s], ys[s], xs[s+1], ys[s+1], width, soft)
+			strokeSegment(px, n, factor, xs[s], ys[s], xs[s+1], ys[s+1], width, soft)
 		}
 	}
-	// Pixel noise.
-	for i := range px {
-		v := px[i]
-		if cfg.NoiseStd > 0 {
-			v += src.Normal(0, cfg.NoiseStd)
+	// Pixel noise, drawn for every pixel of the full image in row-major
+	// order. A dropped pixel only advances src past its draws. Each kept
+	// row and column has pre dropped ones before it and post after it.
+	skip := func(count int) {
+		for ; count > 0; count-- {
+			if cfg.NoiseStd > 0 {
+				src.SkipNorm()
+			}
+			if cfg.FlipProb > 0 {
+				src.Uint64()
+			}
 		}
-		if cfg.FlipProb > 0 && src.Bernoulli(cfg.FlipProb) {
-			v = 1 - v
+	}
+	pre, post := factor/2, factor-factor/2-1
+	for ky := 0; ky < ns; ky++ {
+		skip(pre * n)
+		row := px[ky*ns : (ky+1)*ns]
+		for kx := range row {
+			skip(pre)
+			v := row[kx]
+			if cfg.NoiseStd > 0 {
+				v += src.Normal(0, cfg.NoiseStd)
+			}
+			if cfg.FlipProb > 0 && src.Bernoulli(cfg.FlipProb) {
+				v = 1 - v
+			}
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			row[kx] = v
+			skip(post)
 		}
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		px[i] = v
+		skip(post * n)
 	}
 	return px
 }
 
-// strokeSegment adds the soft coverage of one thick segment into px.
-func strokeSegment(px []float64, n int, x1, y1, x2, y2, width, soft float64) {
+// strokeSegment adds the soft coverage of one thick segment into px, the
+// pixels Decimate by factor keeps of an n x n image: the centres of full
+// rows and columns factor/2 + k·factor.
+func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft float64) {
 	minX := int(math.Floor(math.Min(x1, x2) - width - soft - 1))
 	maxX := int(math.Ceil(math.Max(x1, x2) + width + soft + 1))
 	minY := int(math.Floor(math.Min(y1, y2) - width - soft - 1))
 	maxY := int(math.Ceil(math.Max(y1, y2) + width + soft + 1))
-	if minX < 0 {
-		minX = 0
-	}
-	if minY < 0 {
-		minY = 0
-	}
 	if maxX > n-1 {
 		maxX = n - 1
 	}
 	if maxY > n-1 {
 		maxY = n - 1
 	}
+	// The first kept row and column at or past minY and minX.
+	off := factor / 2
+	ky0, kx0 := 0, 0
+	if minY > off {
+		ky0 = (minY - off + factor - 1) / factor
+	}
+	if minX > off {
+		kx0 = (minX - off + factor - 1) / factor
+	}
+	ns := n / factor
+	x0 := off + kx0*factor
 	dx := x2 - x1
 	dy := y2 - y1
 	lenSq := dx*dx + dy*dy
-	for yi := minY; yi <= maxY; yi++ {
-		for xi := minX; xi <= maxX; xi++ {
+	// yi and xi walk the kept full-resolution rows and columns, i the
+	// kept pixel's index in px.
+	for yi, i0 := off+ky0*factor, ky0*ns+kx0; yi <= maxY; yi, i0 = yi+factor, i0+ns {
+		cy := float64(yi) + 0.5
+		for xi, i := x0, i0; xi <= maxX; xi, i = xi+factor, i+1 {
 			cx := float64(xi) + 0.5
-			cy := float64(yi) + 0.5
 			// Distance from the pixel center to the segment.
 			var t float64
 			if lenSq > 0 {
@@ -256,9 +304,8 @@ func strokeSegment(px []float64, n int, x1, y1, x2, y2, width, soft float64) {
 			if cov > 1 {
 				cov = 1
 			}
-			idx := yi*n + xi
-			if cov > px[idx] {
-				px[idx] = cov
+			if cov > px[i] {
+				px[i] = cov
 			}
 		}
 	}
@@ -282,11 +329,8 @@ const (
 // 28 -> 14 (factor 2) or 28 -> 7 (factor 4), mirroring the paper's
 // Table 1 resolutions. The factor must divide the image size.
 func Undersample(s *Set, factor int, method PoolMethod) (*Set, error) {
-	if factor < 1 {
-		return nil, errors.New("dataset: pooling factor must be >= 1")
-	}
-	if s.Size%factor != 0 {
-		return nil, fmt.Errorf("dataset: factor %d does not divide size %d", factor, s.Size)
+	if err := checkFactor(s.Size, factor); err != nil {
+		return nil, err
 	}
 	if factor == 1 {
 		return s, nil
@@ -318,27 +362,36 @@ func Undersample(s *Set, factor int, method PoolMethod) (*Set, error) {
 	return out, nil
 }
 
+// checkFactor reports whether factor is a valid under-sampling factor
+// for size x size images: at least 1 and a divisor of size.
+func checkFactor(size, factor int) error {
+	if factor < 1 {
+		return errors.New("dataset: pooling factor must be >= 1")
+	}
+	if size%factor != 0 {
+		return fmt.Errorf("dataset: factor %d does not divide size %d", factor, size)
+	}
+	return nil
+}
+
 // Digits returns the balanced train and test digit sets of the paper's
 // protocol: perClassTrain samples of each class rendered from
 // rng.New(seed), perClassTest from rng.New(seed+1), both with
-// DefaultConfig and undersampled by factor with Decimate. The two
-// streams are independent, so the sets render on two goroutines; the
-// result is the same as rendering them one after the other.
+// DefaultConfig and undersampled by factor with Decimate. Each image is
+// rendered straight at the reduced resolution: only the pixels Decimate
+// keeps are computed, and the source still makes every draw of the full
+// render, so the sets are bit for bit those of GenerateBalanced followed
+// by Undersample. The two streams are independent, so the sets render on
+// two goroutines; the result is the same as rendering them one after
+// the other.
 func Digits(perClassTrain, perClassTest, factor int, seed uint64) (train, test *Set, err error) {
-	render := func(perClass int, src *rng.Source) (*Set, error) {
-		s, err := GenerateBalanced(DefaultConfig(), perClass, src)
-		if err != nil {
-			return nil, err
-		}
-		return Undersample(s, factor, Decimate)
-	}
 	var testErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		test, testErr = render(perClassTest, rng.New(seed+1))
+		test, testErr = generateBalanced(DefaultConfig(), perClassTest, factor, rng.New(seed+1))
 	}()
-	train, err = render(perClassTrain, rng.New(seed))
+	train, err = generateBalanced(DefaultConfig(), perClassTrain, factor, rng.New(seed))
 	<-done
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,7 +107,7 @@ func TestDigitsHaveInk(t *testing.T) {
 	cfg.FlipProb = 0
 	src := rng.New(5)
 	for label := 0; label < NumClasses; label++ {
-		px := renderDigit(cfg, label, src)
+		px := renderDigit(cfg, label, 1, src)
 		sum := 0.0
 		for _, p := range px {
 			sum += p
@@ -131,7 +132,7 @@ func TestDistinctClassesDiffer(t *testing.T) {
 		acc := make([]float64, cfg.Size*cfg.Size)
 		const reps = 20
 		for r := 0; r < reps; r++ {
-			px := renderDigit(cfg, label, src)
+			px := renderDigit(cfg, label, 1, src)
 			for i, p := range px {
 				acc[i] += p / reps
 			}
@@ -196,9 +197,32 @@ func TestUndersample(t *testing.T) {
 	}
 }
 
-// TestDigitsMatchesSequential: the concurrently rendered sets are the
-// ones sequential GenerateBalanced and Undersample calls give, sample for
-// sample and bit for bit; a zero per-class count renders an empty set.
+// sameSet fails t unless got holds want's samples, labels and pixels bit
+// for bit.
+func sameSet(t testing.TB, name string, got, want *Set) {
+	t.Helper()
+	if got.Size != want.Size || got.Len() != want.Len() {
+		t.Fatalf("%s: %d samples of size %d, want %d of size %d", name, got.Len(), got.Size, want.Len(), want.Size)
+	}
+	for i, w := range want.Samples {
+		g := got.Samples[i]
+		if g.Label != w.Label || len(g.Pixels) != len(w.Pixels) {
+			t.Fatalf("%s sample %d: label %d (%d px), want %d (%d px)", name, i, g.Label, len(g.Pixels), w.Label, len(w.Pixels))
+		}
+		for q, v := range w.Pixels {
+			if math.Float64bits(g.Pixels[q]) != math.Float64bits(v) {
+				t.Fatalf("%s sample %d pixel %d: %v, want %v", name, i, q, g.Pixels[q], v)
+			}
+		}
+	}
+}
+
+// TestDigitsMatchesSequential: the sets Digits renders concurrently and
+// straight at the reduced resolution are the ones sequential 28x28
+// GenerateBalanced and Undersample calls give, sample for sample and bit
+// for bit, at every factor that divides 28; a zero per-class count
+// renders an empty set, and a factor that does not divide 28 is an
+// error.
 func TestDigitsMatchesSequential(t *testing.T) {
 	sequential := func(perClass, factor int, seed uint64) *Set {
 		s, err := GenerateBalanced(DefaultConfig(), perClass, rng.New(seed))
@@ -210,36 +234,55 @@ func TestDigitsMatchesSequential(t *testing.T) {
 		}
 		return s
 	}
-	same := func(name string, got, want *Set) {
-		t.Helper()
-		if got.Size != want.Size || got.Len() != want.Len() {
-			t.Fatalf("%s: %d samples of size %d, want %d of size %d", name, got.Len(), got.Size, want.Len(), want.Size)
-		}
-		for i, w := range want.Samples {
-			g := got.Samples[i]
-			if g.Label != w.Label || len(g.Pixels) != len(w.Pixels) {
-				t.Fatalf("%s sample %d: label %d (%d px), want %d (%d px)", name, i, g.Label, len(g.Pixels), w.Label, len(w.Pixels))
-			}
-			for q, v := range w.Pixels {
-				if math.Float64bits(g.Pixels[q]) != math.Float64bits(v) {
-					t.Fatalf("%s sample %d pixel %d: %v, want %v", name, i, q, g.Pixels[q], v)
-				}
-			}
-		}
-	}
-	for _, c := range []struct {
+	type digitsCase struct {
 		train, test, factor int
 		seed                uint64
-	}{{4, 3, 1, 5}, {6, 2, 4, 9}, {0, 3, 4, 9}} {
+	}
+	cases := []digitsCase{{4, 3, 1, 5}, {6, 2, 4, 9}, {0, 3, 4, 9}}
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, factor := range []int{1, 2, 4, 7, 14, 28} {
+			cases = append(cases, digitsCase{2, 1, factor, seed})
+		}
+	}
+	for _, c := range cases {
 		train, test, err := Digits(c.train, c.test, c.factor, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		same("train", train, sequential(c.train, c.factor, c.seed))
-		same("test", test, sequential(c.test, c.factor, c.seed+1))
+		sameSet(t, fmt.Sprintf("factor %d seed %d train", c.factor, c.seed), train, sequential(c.train, c.factor, c.seed))
+		sameSet(t, fmt.Sprintf("factor %d seed %d test", c.factor, c.seed), test, sequential(c.test, c.factor, c.seed+1))
 	}
-	if _, _, err := Digits(2, 2, 3, 1); err == nil {
-		t.Fatal("expected error for non-dividing factor")
+	for _, factor := range []int{3, 0} {
+		if _, _, err := Digits(2, 2, factor, 1); err == nil {
+			t.Fatalf("factor %d: expected an error", factor)
+		}
+	}
+}
+
+// TestDecimatedRenderMatchesFullRender: rendering one digit at factor f
+// gives the pixels Decimate keeps of the full render, bit for bit, and
+// leaves the source where the full render leaves it, with and without
+// each kind of pixel noise.
+func TestDecimatedRenderMatchesFullRender(t *testing.T) {
+	for _, noise := range []struct{ std, flip float64 }{{0, 0}, {0.07, 0}, {0, 0.002}, {0.07, 0.002}, {0.07, 0.5}} {
+		cfg := DefaultConfig()
+		cfg.NoiseStd, cfg.FlipProb = noise.std, noise.flip
+		for _, factor := range []int{2, 4, 7, 14, 28} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				full, dec := rng.New(seed), rng.New(seed)
+				for label := 0; label < NumClasses; label++ {
+					want, err := Undersample(&Set{Size: cfg.Size, Samples: []Sample{{Pixels: renderDigit(cfg, label, 1, full), Label: label}}}, factor, Decimate)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := &Set{Size: cfg.Size / factor, Samples: []Sample{{Pixels: renderDigit(cfg, label, factor, dec), Label: label}}}
+					sameSet(t, fmt.Sprintf("noise %v factor %d seed %d label %d", noise, factor, seed, label), got, want)
+				}
+				if g, w := dec.Uint64(), full.Uint64(); g != w {
+					t.Fatalf("noise %v factor %d seed %d: next draw %#x, want %#x", noise, factor, seed, g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -337,5 +380,31 @@ func TestLinearSeparabilityBand(t *testing.T) {
 	}
 	if acc7 >= acc28 {
 		t.Fatalf("7x7 accuracy %.3f did not degrade from 28x28 %.3f", acc7, acc28)
+	}
+}
+
+var digitsSink *Set
+
+// BenchmarkDigits times the train and test sets of each scale's
+// protocol: Quick renders 7x7 images, Default 14x14 and Full 28x28. The
+// two sets render on two goroutines, so compare at -cpu 1,2.
+func BenchmarkDigits(b *testing.B) {
+	for _, p := range []struct {
+		name                string
+		train, test, factor int
+	}{
+		{"quick", 25, 15, 4},
+		{"default", 120, 70, 2},
+		{"full", 400, 200, 1},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				train, _, err := Digits(p.train, p.test, p.factor, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				digitsSink = train
+			}
+		})
 	}
 }

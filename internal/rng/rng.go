@@ -116,12 +116,26 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Norm returns a standard normally distributed sample (mean 0, stddev 1)
 // using the polar (Marsaglia) method.
 func (s *Source) Norm() float64 {
+	u, q := s.polar()
+	return u * math.Sqrt(-2*math.Log(q)/q)
+}
+
+// SkipNorm advances the source past one Norm sample without computing
+// it: it makes exactly the draws Norm would and leaves the source where
+// Norm leaves it, but skips the log and the square root.
+func (s *Source) SkipNorm() { s.polar() }
+
+// polar is the rejection loop of the polar method: it draws points
+// uniformly from the square [-1, 1)² until one falls strictly inside the
+// unit circle, off the origin, and returns its first coordinate and its
+// squared radius.
+func (s *Source) polar() (u, q float64) {
 	for {
-		u := 2*s.Float64() - 1
+		u = 2*s.Float64() - 1
 		v := 2*s.Float64() - 1
-		q := u*u + v*v
+		q = u*u + v*v
 		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
+			return u, q
 		}
 	}
 }

@@ -111,6 +111,45 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// TestSkipNormKeepsStep: over 10⁵ draws from several seeds, a source
+// advanced by SkipNorm is in the state of one advanced by Norm after
+// every draw, and both go on to yield the same stream.
+func TestSkipNormKeepsStep(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
+		norm, skip := New(seed), New(seed)
+		for i := 0; i < 100000; i++ {
+			norm.Norm()
+			skip.SkipNorm()
+			if norm.s != skip.s {
+				t.Fatalf("seed %d: states differ after draw %d", seed, i)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if a, b := norm.Uint64(), skip.Uint64(); a != b {
+				t.Fatalf("seed %d: next draw %d is %#x after SkipNorm, %#x after Norm", seed, i, b, a)
+			}
+		}
+	}
+}
+
+// TestNormPinned pins Norm's first samples from seed 1, so a change to
+// the sampler that moves its values fails here and not only in the
+// experiments' golden digests.
+func TestNormPinned(t *testing.T) {
+	s := New(1)
+	for i, want := range normPins {
+		if got := s.Norm(); math.Float64bits(got) != want {
+			t.Fatalf("sample %d: %v (%#x), want %v (%#x)", i, got, math.Float64bits(got), math.Float64frombits(want), want)
+		}
+	}
+}
+
+// normPins are the bits of Norm's first six samples from New(1).
+var normPins = []uint64{
+	0x3ffe267c87ac62eb, 0x3ff4d55c9633557c, 0x3fdc0d732ae4b3dd,
+	0xbfe5088df52fd8fd, 0x3ff153c160bd1468, 0x3fe0252c47c3a351,
+}
+
 func TestLogNormalMoments(t *testing.T) {
 	// For X ~ LogNormal(0, sigma^2): E[X] = exp(sigma^2/2).
 	s := New(8)
