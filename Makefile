@@ -22,11 +22,13 @@ race:
 	$(GO) test -race ./internal/mat/
 	$(GO) test -race ./internal/opt/
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
+	$(GO) test -race -count=10 ./internal/dataset/ -run 'TestSplitRenderMatchesSerial'
 	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
 	$(GO) test -race ./cmd/vortexsim/
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race ./internal/serve/
+	$(GO) test -race -count=10 ./internal/serve/ -run 'TestBuildFleetWaitsForTestSet'
 	$(GO) test -race ./internal/chaos/
 
 # Regenerates every paper table/figure plus the extension studies at
@@ -52,8 +54,9 @@ doccheck:
 # binary protocol's frame decoders, the /v1/classify JSON body (the
 # handler's contract and the body decoder against encoding/json), the
 # Prometheus exposition validator, checkpoint files, the -chaos mode
-# parser and the reduced-resolution digit render (against rendering at
-# full resolution, then decimating).
+# parser, the reduced-resolution digit render (against rendering at
+# full resolution, then decimating) and the digit skip (against the
+# render's draws).
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/experiment/ -run '^$$' -fuzz FuzzCheckpointFile -fuzztime 30s
 	$(GO) test ./internal/chaos/ -run '^$$' -fuzz FuzzParseMode -fuzztime 30s
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzDecimatedRender -fuzztime 30s
+	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzSkipDigit -fuzztime 30s
 
 experiments:
 	$(GO) run ./cmd/vortexsim -exp all -scale default

@@ -130,7 +130,9 @@ func GenerateBalanced(cfg Config, perClass int, src *rng.Source) (*Set, error) {
 // generateBalanced is GenerateBalanced rendered straight at resolution
 // cfg.Size/factor. Its set is, bit for bit,
 // Undersample(GenerateBalanced(cfg, perClass, src), factor, Decimate),
-// and src ends where that full render leaves it.
+// and src ends where that full render leaves it. At factor 1 the
+// second half of the samples renders on a second goroutine, which it
+// waits for.
 func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -144,14 +146,32 @@ func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, 
 	if src == nil {
 		return nil, errors.New("dataset: nil rng source")
 	}
-	set := &Set{Size: cfg.Size / factor, Samples: make([]Sample, 0, perClass*NumClasses)}
-	for label := 0; label < NumClasses; label++ {
-		for k := 0; k < perClass; k++ {
-			set.Samples = append(set.Samples, Sample{
-				Pixels: renderDigit(cfg, label, factor, src),
-				Label:  label,
-			})
+	set := &Set{Size: cfg.Size / factor, Samples: make([]Sample, perClass*NumClasses)}
+	render := func(samples []Sample, first int, from *rng.Source) {
+		for i := range samples {
+			label := (first + i) / perClass
+			samples[i] = Sample{Pixels: renderDigit(cfg, label, factor, from), Label: label}
 		}
+	}
+	if half := len(set.Samples) / 2; factor == 1 && half > 0 {
+		// The second half renders on a second goroutine from a copy of
+		// src advanced past the first half, which costs a fraction of
+		// rendering it when every pixel is kept. At other factors a skip
+		// costs about as much as the render it replaces.
+		second := *src
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < half; i++ {
+				skipDigit(cfg, i/perClass, &second)
+			}
+			render(set.Samples[half:], half, &second)
+		}()
+		render(set.Samples[:half], 0, src)
+		<-done
+		*src = second
+	} else {
+		render(set.Samples, 0, src)
 	}
 	src.Shuffle(len(set.Samples), func(i, j int) {
 		set.Samples[i], set.Samples[j] = set.Samples[j], set.Samples[i]
@@ -214,40 +234,40 @@ func renderDigit(cfg Config, label, factor int, src *rng.Source) []float64 {
 	// Pixel noise, drawn for every pixel of the full image in row-major
 	// order. A dropped pixel only advances src past its draws. Each kept
 	// row and column has pre dropped ones before it and post after it.
-	skip := func(count int) {
-		for ; count > 0; count-- {
-			if cfg.NoiseStd > 0 {
-				src.SkipNorm()
-			}
-			if cfg.FlipProb > 0 {
-				src.Uint64()
-			}
-		}
+	std, flip := cfg.NoiseStd, cfg.FlipProb
+	if factor == 1 {
+		src.PixelNoise(px, 0, std, flip)
+		return px
 	}
 	pre, post := factor/2, factor-factor/2-1
+	skip := 0 // dropped pixels since the last kept one
 	for ky := 0; ky < ns; ky++ {
-		skip(pre * n)
-		row := px[ky*ns : (ky+1)*ns]
-		for kx := range row {
-			skip(pre)
-			v := row[kx]
-			if cfg.NoiseStd > 0 {
-				v += src.Normal(0, cfg.NoiseStd)
-			}
-			if cfg.FlipProb > 0 && src.Bernoulli(cfg.FlipProb) {
-				v = 1 - v
-			}
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			row[kx] = v
-			skip(post)
+		skip += pre * n
+		for kx := ky * ns; kx < (ky+1)*ns; kx++ {
+			src.PixelNoise(px[kx:kx+1], skip+pre, std, flip)
+			skip = post
 		}
-		skip(post * n)
+		skip += post * n
 	}
+	src.PixelNoise(nil, skip, std, flip)
 	return px
+}
+
+// skipDigit advances src past the draws of one renderDigit(cfg, label,
+// factor, src) call, at any factor, without rendering: the transform's
+// five uniforms and the stroke width's, two per control point when
+// cfg.PointJit > 0, then every pixel's noise draws.
+func skipDigit(cfg Config, label int, src *rng.Source) {
+	draws := 6
+	if cfg.PointJit > 0 {
+		for _, pl := range glyphs[label] {
+			draws += 2 * len(pl)
+		}
+	}
+	for ; draws > 0; draws-- {
+		src.Uint64()
+	}
+	src.PixelNoise(nil, cfg.Size*cfg.Size, cfg.NoiseStd, cfg.FlipProb)
 }
 
 // strokeSegment adds the soft coverage of one thick segment into px, the
@@ -278,6 +298,7 @@ func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft floa
 	dx := x2 - x1
 	dy := y2 - y1
 	lenSq := dx*dx + dy*dy
+	far := farSq(width, soft)
 	// yi and xi walk the kept full-resolution rows and columns, i the
 	// kept pixel's index in px.
 	for yi, i0 := off+ky0*factor, ky0*ns+kx0; yi <= maxY; yi, i0 = yi+factor, i0+ns {
@@ -296,7 +317,11 @@ func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft floa
 			}
 			qx := x1 + t*dx
 			qy := y1 + t*dy
-			dist := math.Hypot(cx-qx, cy-qy)
+			ex, ey := cx-qx, cy-qy
+			if ex*ex+ey*ey > far {
+				continue // cov <= 0 below; see farSq
+			}
+			dist := math.Hypot(ex, ey)
 			cov := 1 - (dist-width)/soft
 			if cov <= 0 {
 				continue
@@ -309,6 +334,17 @@ func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft floa
 			}
 		}
 	}
+}
+
+// farSq is the squared distance from a segment beyond which
+// strokeSegment skips a pixel without the Hypot. Such a pixel's true
+// distance exceeds (width+soft)(1+4e-7), while the rounding in the
+// squares, their sum, farSq itself, Hypot, dist-width and the division
+// comes to a few units in the last place, nine orders of magnitude
+// below that margin, so its coverage would be negative. Every pixel
+// past the test gets the coverage the Hypot gives it.
+func farSq(width, soft float64) float64 {
+	return (width + soft) * (width + soft) * (1 + 1e-6)
 }
 
 // PoolMethod selects how Undersample reduces resolution.

@@ -6,8 +6,9 @@ package mat
 // trial lanes only — every lane stays an independent scalar IEEE-754
 // chain (separate mul and add, no FMA), so all implementations produce
 // bit-identical results and the fastest supported one is selected at
-// startup. Tests force specific implementations through SetKernelISA to
-// assert that equivalence.
+// startup. The eight-row scorer behind ScoreRows8 follows the same
+// rule with one row per lane. Tests force specific implementations
+// through SetKernelISA to assert that equivalence.
 
 // mulVecLanesFunc is the signature of one fused-kernel implementation:
 // dst[k] += x[i]*data[i*l+k] for every row i, where l is the lane-block
@@ -93,6 +94,87 @@ func MulVecBlockTo(dst, data, x []float64) {
 		return
 	}
 	mulVecLanes(dst, data, x, l)
+}
+
+// Scores8 holds ScoreRows8's outputs, one per row: the inner products
+// of the row x with w and with prev, and the sums of squares of x∘w and
+// of x∘prev.
+type Scores8 struct {
+	Dot, DotPrev [8]float64
+	Sq, SqPrev   [8]float64
+}
+
+// scoreRows8Active is the implementation ScoreRows8 dispatches to;
+// chosen at init, overridden by SetKernelISA.
+var scoreRows8Active = scoreRows8Generic
+
+// ScoreRows8 scores eight rows of a row-major matrix against two weight
+// vectors in one pass over their features. Row k is
+// data[off[k] : off[k]+len(w)]; rows may repeat. It sets out.Dot[k] to
+// x·w and out.DotPrev[k] to x·prev, and, when squares is set,
+// out.Sq[k] to Σ(x∘w)² and out.SqPrev[k] to Σ(x∘prev)² (both 0
+// otherwise).
+//
+// Every output is one IEEE-754 chain over the features in ascending
+// order, multiplied then added with separate instructions, so out.Dot[k]
+// is bit-identical to Dot(x, w), and out.Sq[k] to the sum Norm2 takes
+// the square root of for v = x∘w. It panics unless len(prev) ==
+// len(w) and every row lies inside data; it allocates nothing.
+func ScoreRows8(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool) {
+	n := len(w)
+	if len(prev) != n {
+		panic("mat: ScoreRows8 length mismatch")
+	}
+	for _, o := range off {
+		if o < 0 || o > len(data)-n {
+			panic("mat: ScoreRows8 row out of range")
+		}
+	}
+	scoreRows8Active(out, data, off, w, prev, squares)
+}
+
+// scoreRows8Generic is the portable reference implementation of
+// ScoreRows8; the SIMD version must match it bit for bit. It walks two
+// rows at a time so that four (or, with squares, eight) independent
+// chains overlap. Each chain is written as Dot's loop writes it, and
+// each square as Norm2 sums v = x∘w: the product is rounded, then
+// squared, then added.
+func scoreRows8Generic(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool) {
+	n := len(w)
+	for k := 0; k < 8; k += 2 {
+		a := data[off[k] : off[k]+n]
+		// Equal lengths let the compiler drop the loop's bounds checks.
+		b, w, prev := data[off[k+1] : off[k+1]+n][:len(a)], w[:len(a)], prev[:len(a)]
+		var da, db, pa, pb float64
+		var sa, sb, qa, qb float64
+		if squares {
+			for i, ai := range a {
+				wi, pi := w[i], prev[i]
+				ta, tb := ai*wi, b[i]*wi
+				ua, ub := ai*pi, b[i]*pi
+				da += ta
+				db += tb
+				pa += ua
+				pb += ub
+				sa += ta * ta
+				sb += tb * tb
+				qa += ua * ua
+				qb += ub * ub
+			}
+		} else {
+			for i, ai := range a {
+				wi, pi := w[i], prev[i]
+				da += ai * wi
+				db += b[i] * wi
+				pa += ai * pi
+				pb += b[i] * pi
+			}
+		}
+		out.Dot[k], out.Dot[k+1] = da, db
+		out.DotPrev[k], out.DotPrev[k+1] = pa, pb
+		out.Sq[k], out.Sq[k+1] = sa, sb
+		out.SqPrev[k], out.SqPrev[k+1] = qa, qb
+	}
 }
 
 // KernelISA reports which fused-kernel implementation is active:

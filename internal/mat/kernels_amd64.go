@@ -20,6 +20,9 @@ func mulVecLanes80AVX512(dst, data, x []float64)
 func mulVecLanes24AVX512(dst, data, x []float64)
 
 // Implemented in kernels_amd64.s.
+func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
+
+// Implemented in kernels_amd64.s.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // Implemented in kernels_amd64.s.
@@ -74,11 +77,14 @@ func installKernelISA(name string) {
 	case want == "avx512" && hasAVX512:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX512, "avx512"
 		mulVecLanes80Active, mulVecLanes24Active = mulVecLanes80AVX512, mulVecLanes24AVX512
+		scoreRows8Active = scoreRows8AVX512
 	case (want == "avx512" || want == "avx2") && hasAVX2:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX2, "avx2"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
+		scoreRows8Active = scoreRows8Generic
 	default:
 		mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
+		scoreRows8Active = scoreRows8Generic
 	}
 }

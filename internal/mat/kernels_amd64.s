@@ -182,6 +182,173 @@ r24_done:
 	VZEROUPPER
 	RET
 
+// TRANSPOSE8 transposes the 8x8 block of doubles whose rows are in
+// Z0..Z7 into Z8..Z15: afterwards Z8+j holds element j of every row, row
+// k in lane k. Z0..Z7 are clobbered. Three rounds of eight shuffles:
+// interleave the rows' even and odd elements in pairs of rows, gather
+// the pairs' 128-bit lanes by element parity, then by element half.
+#define TRANSPOSE8 \
+	VUNPCKLPD  Z1, Z0, Z8;         \
+	VUNPCKHPD  Z1, Z0, Z9;         \
+	VUNPCKLPD  Z3, Z2, Z10;        \
+	VUNPCKHPD  Z3, Z2, Z11;        \
+	VUNPCKLPD  Z5, Z4, Z12;        \
+	VUNPCKHPD  Z5, Z4, Z13;        \
+	VUNPCKLPD  Z7, Z6, Z14;        \
+	VUNPCKHPD  Z7, Z6, Z15;        \
+	VSHUFF64X2 $0x88, Z10, Z8, Z0; \
+	VSHUFF64X2 $0xDD, Z10, Z8, Z2; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z1; \
+	VSHUFF64X2 $0xDD, Z11, Z9, Z3; \
+	VSHUFF64X2 $0x88, Z14, Z12, Z4; \
+	VSHUFF64X2 $0xDD, Z14, Z12, Z6; \
+	VSHUFF64X2 $0x88, Z15, Z13, Z5; \
+	VSHUFF64X2 $0xDD, Z15, Z13, Z7; \
+	VSHUFF64X2 $0x88, Z4, Z0, Z8;  \
+	VSHUFF64X2 $0xDD, Z4, Z0, Z12; \
+	VSHUFF64X2 $0x88, Z5, Z1, Z9;  \
+	VSHUFF64X2 $0xDD, Z5, Z1, Z13; \
+	VSHUFF64X2 $0x88, Z6, Z2, Z10; \
+	VSHUFF64X2 $0xDD, Z6, Z2, Z14; \
+	VSHUFF64X2 $0x88, Z7, Z3, Z11; \
+	VSHUFF64X2 $0xDD, Z7, Z3, Z15
+
+// LOADROWS loads the next eight elements of the eight rows into Z0..Z7.
+#define LOADROWS \
+	VMOVUPD (SI)(R8*8), Z0;  \
+	VMOVUPD (SI)(R9*8), Z1;  \
+	VMOVUPD (SI)(R10*8), Z2; \
+	VMOVUPD (SI)(R11*8), Z3; \
+	VMOVUPD (SI)(R12*8), Z4; \
+	VMOVUPD (SI)(R13*8), Z5; \
+	VMOVUPD (SI)(AX*8), Z6;  \
+	VMOVUPD (SI)(DX*8), Z7
+
+// DOT adds one feature, x in X and w and prev at byte offset OFF from BX
+// and CX, into the x . w and x . prev chains Z16 and Z17.
+#define DOT(X, OFF) \
+	VMULPD.BCST OFF(BX), X, Z20; \
+	VMULPD.BCST OFF(CX), X, Z21; \
+	VADDPD      Z20, Z16, Z16;   \
+	VADDPD      Z21, Z17, Z17
+
+// DOTSQ is DOT plus the squares of the two products into Z18 and Z19.
+#define DOTSQ(X, OFF) \
+	VMULPD.BCST OFF(BX), X, Z20; \
+	VMULPD.BCST OFF(CX), X, Z21; \
+	VADDPD      Z20, Z16, Z16;   \
+	VADDPD      Z21, Z17, Z17;   \
+	VMULPD      Z20, Z20, Z20;   \
+	VMULPD      Z21, Z21, Z21;   \
+	VADDPD      Z20, Z18, Z18;   \
+	VADDPD      Z21, Z19, Z19
+
+// GATHER loads the next element of the eight rows into X.
+#define GATHER(X) \
+	KXNORW     K1, K1, K1; \
+	VPXORQ     X, X, X;    \
+	VGATHERQPD (SI)(Z31*8), K1, X
+
+// func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
+//
+// ScoreRows8 with one row per lane. Whole blocks of eight features load
+// eight elements of each row and transpose them in registers (gathers
+// are several times slower on some CPUs); the last len(w) % 8 features
+// are gathered one at a time. Each feature is multiplied by broadcasts
+// of w and prev. Each accumulator holds eight independent chains over
+// ascending features, multiplied then added with separate instructions
+// (never FMA), so every lane is bit-identical to scoreRows8Generic. The
+// Go wrapper has checked every offset.
+TEXT ·scoreRows8AVX512(SB), NOSPLIT, $0-89
+	MOVQ off+32(FP), DI
+	MOVQ (DI), R8          // the eight row offsets, in elements
+	MOVQ 8(DI), R9
+	MOVQ 16(DI), R10
+	MOVQ 24(DI), R11
+	MOVQ 32(DI), R12
+	MOVQ 40(DI), R13
+	MOVQ 48(DI), AX
+	MOVQ 56(DI), DX
+	VMOVDQU64 (DI), Z31
+	MOVQ data_base+8(FP), SI
+	MOVQ w_base+40(FP), BX
+	MOVQ w_len+48(FP), R14
+	MOVQ prev_base+64(FP), CX
+	MOVQ R14, R15
+	SHRQ $3, R15           // whole blocks of eight features
+	ANDQ $7, R14           // features left for the gathers
+	VPXORQ Z16, Z16, Z16   // x . w
+	VPXORQ Z17, Z17, Z17   // x . prev
+	VPXORQ Z18, Z18, Z18   // sum (x o w)^2
+	VPXORQ Z19, Z19, Z19   // sum (x o prev)^2
+	MOVBLZX squares+88(FP), DI
+	TESTQ DI, DI
+	JNZ  s8_sqblocks
+s8_blocks:
+	TESTQ R15, R15
+	JZ   s8_tail
+	LOADROWS
+	TRANSPOSE8
+	DOT(Z8, 0)
+	DOT(Z9, 8)
+	DOT(Z10, 16)
+	DOT(Z11, 24)
+	DOT(Z12, 32)
+	DOT(Z13, 40)
+	DOT(Z14, 48)
+	DOT(Z15, 56)
+	ADDQ $64, SI
+	ADDQ $64, BX
+	ADDQ $64, CX
+	DECQ R15
+	JMP  s8_blocks
+s8_tail:
+	TESTQ R14, R14
+	JZ   s8_done
+	GATHER(Z8)
+	DOT(Z8, 0)
+	ADDQ $8, SI
+	ADDQ $8, BX
+	ADDQ $8, CX
+	DECQ R14
+	JMP  s8_tail
+s8_sqblocks:
+	TESTQ R15, R15
+	JZ   s8_sqtail
+	LOADROWS
+	TRANSPOSE8
+	DOTSQ(Z8, 0)
+	DOTSQ(Z9, 8)
+	DOTSQ(Z10, 16)
+	DOTSQ(Z11, 24)
+	DOTSQ(Z12, 32)
+	DOTSQ(Z13, 40)
+	DOTSQ(Z14, 48)
+	DOTSQ(Z15, 56)
+	ADDQ $64, SI
+	ADDQ $64, BX
+	ADDQ $64, CX
+	DECQ R15
+	JMP  s8_sqblocks
+s8_sqtail:
+	TESTQ R14, R14
+	JZ   s8_done
+	GATHER(Z8)
+	DOTSQ(Z8, 0)
+	ADDQ $8, SI
+	ADDQ $8, BX
+	ADDQ $8, CX
+	DECQ R14
+	JMP  s8_sqtail
+s8_done:
+	MOVQ out+0(FP), DI
+	VMOVUPD Z16, (DI)
+	VMOVUPD Z17, 64(DI)
+	VMOVUPD Z18, 128(DI)
+	VMOVUPD Z19, 192(DI)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

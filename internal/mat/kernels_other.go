@@ -6,4 +6,5 @@ package mat
 // implementation exists, whatever was asked for.
 func installKernelISA(string) {
 	mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
+	scoreRows8Active = scoreRows8Generic
 }

@@ -17,26 +17,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Dot4 returns the inner products of a0, a1, a2 and a3 with b. Each
-// result is Dot's chain: it starts at +0 and adds a[i]*b[i] in ascending
-// i, written as the same expression as Dot's loop, so each is
-// bit-identical to Dot(ak, b). One Dot waits on the latency of its
-// serial adds; the four chains are independent, so they overlap. It
-// panics unless all five slices have the same length.
-func Dot4(a0, a1, a2, a3, b []float64) (s0, s1, s2, s3 float64) {
-	n := len(b)
-	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
-		panic("mat: Dot4 length mismatch")
-	}
-	for i := range b {
-		s0 += a0[i] * b[i]
-		s1 += a1[i] * b[i]
-		s2 += a2[i] * b[i]
-		s3 += a3[i] * b[i]
-	}
-	return s0, s1, s2, s3
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	s := 0.0

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -162,90 +161,4 @@ func TestInversePermPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	InversePerm([]int{1, 1})
-}
-
-// dotTestVec draws a length-n vector that mixes the values a dot chain
-// rounds differently: exact zeros of both signs, negatives, subnormals
-// and magnitudes from 1e-3 to 1e3.
-func dotTestVec(n int, src *rng.Source) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		switch src.Intn(6) {
-		case 0:
-			v[i] = 0
-		case 1:
-			v[i] = math.Copysign(0, -1)
-		case 2:
-			v[i] = float64(src.Intn(1000)-500) * math.SmallestNonzeroFloat64
-		default:
-			v[i] = src.Normal(0, 1) * math.Pow(10, float64(src.Intn(7)-3))
-		}
-	}
-	return v
-}
-
-// TestDot4MatchesDot: each of Dot4's four outputs is bit-identical to Dot
-// on the same row, at every length the trainer sees and around them;
-// with NaN or infinite terms each output is NaN exactly where Dot's is,
-// and the same infinity otherwise.
-func TestDot4MatchesDot(t *testing.T) {
-	check := func(name string, a [4][]float64, b []float64) {
-		t.Helper()
-		var got [4]float64
-		got[0], got[1], got[2], got[3] = Dot4(a[0], a[1], a[2], a[3], b)
-		for k := range a {
-			want := Dot(a[k], b)
-			if math.IsNaN(want) || math.IsNaN(got[k]) {
-				if math.IsNaN(want) != math.IsNaN(got[k]) {
-					t.Fatalf("%s: Dot4 output %d = %v, Dot = %v", name, k, got[k], want)
-				}
-				continue
-			}
-			if math.Float64bits(got[k]) != math.Float64bits(want) {
-				t.Fatalf("%s: Dot4 output %d = %x, Dot = %x", name, k, math.Float64bits(got[k]), math.Float64bits(want))
-			}
-		}
-	}
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	for _, n := range []int{0, 1, 3, 49, 784, 785} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			src := rng.New(seed*977 + uint64(n))
-			var a [4][]float64
-			for k := range a {
-				a[k] = dotTestVec(n, src)
-			}
-			b := dotTestVec(n, src)
-			check(fmt.Sprintf("n %d seed %d", n, seed), a, b)
-			if n == 0 {
-				continue
-			}
-			// Poison one term of some rows, and sometimes of b, with NaN
-			// or an infinity.
-			for k := range a {
-				if src.Intn(2) == 0 {
-					a[k][src.Intn(n)] = specials[src.Intn(len(specials))]
-				}
-			}
-			if src.Intn(2) == 0 {
-				b[src.Intn(n)] = specials[src.Intn(len(specials))]
-			}
-			check(fmt.Sprintf("n %d seed %d specials", n, seed), a, b)
-		}
-	}
-	// A lone infinity survives, with its sign, in the rows that hold it.
-	b := []float64{1, 2, 3}
-	check("infinities", [4][]float64{{math.Inf(1), 0, 1}, {1, math.Inf(-1), 1}, {1, 1, 1}, {math.NaN(), 0, 0}}, b)
-	// Every argument is checked against b's length.
-	for arg := 0; arg < 5; arg++ {
-		v := [5][]float64{make([]float64, 3), make([]float64, 3), make([]float64, 3), make([]float64, 3), make([]float64, 3)}
-		v[arg] = make([]float64, 2)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Dot4 with argument %d short did not panic", arg)
-				}
-			}()
-			Dot4(v[0], v[1], v[2], v[3], v[4])
-		}()
-	}
 }

@@ -90,47 +90,30 @@ func (c SGDConfig) withDefaults() SGDConfig {
 
 // SampleLoss returns the VAT hinge loss of one sample.
 func SampleLoss(w, x []float64, y, gamma, rho float64) float64 {
-	l, _ := hinge(x, w, make([]float64, len(x)), y, mat.Dot(x, w), gamma, rho)
+	l, _ := hinge(y, mat.Dot(x, w), sumSq(x, w), gamma, rho)
 	return l
 }
 
-// MeanLoss returns the average VAT hinge loss of w on the problem. It
-// scores four consecutive samples per mat.Dot4 call and sums the losses
-// in ascending sample order.
-func MeanLoss(p Problem, w []float64) float64 {
-	var v []float64 // scratch for x o w
-	if p.Gamma > 0 && p.Rho > 0 {
-		v = make([]float64, len(w))
-	}
-	x := p.X
+// sumSq returns the sum Norm2 takes the square root of for v = x o w,
+// in its order: each product is rounded, then squared, then added.
+func sumSq(x, w []float64) float64 {
 	s := 0.0
-	i := 0
-	for ; i+4 <= x.Rows; i += 4 {
-		d0, d1, d2, d3 := mat.Dot4(x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3), w)
-		for k, dot := range [4]float64{d0, d1, d2, d3} {
-			l, _ := hinge(x.Row(i+k), w, v, p.Y[i+k], dot, p.Gamma, p.Rho)
-			s += l
-		}
+	for q, xv := range x {
+		v := xv * w[q]
+		s += v * v
 	}
-	for ; i < x.Rows; i++ {
-		l, _ := hinge(x.Row(i), w, v, p.Y[i], mat.Dot(x.Row(i), w), p.Gamma, p.Rho)
-		s += l
-	}
-	return s / float64(x.Rows)
+	return s
 }
 
 // hinge returns the VAT hinge loss max(0, 1 + gamma*rho*||x o w||_2 -
-// y*dot) of a sample whose score x . w is dot, and ||x o w||_2 (0 when
-// the penalty is off). v is scratch for x o w, as long as x; it is not
-// touched when the penalty is off.
-func hinge(x, w, v []float64, y, dot, gamma, rho float64) (loss, vnorm float64) {
+// y*dot) of a sample whose score x . w is dot and whose sum of squares
+// of x o w is sq, and ||x o w||_2 (0 when the penalty is off, which
+// ignores sq).
+func hinge(y, dot, sq, gamma, rho float64) (loss, vnorm float64) {
 	margin := y * dot
 	pen := 0.0
 	if gamma > 0 && rho > 0 {
-		for q := range v {
-			v[q] = x[q] * w[q]
-		}
-		vnorm = mat.Norm2(v)
+		vnorm = math.Sqrt(sq)
 		pen = gamma * rho * vnorm
 	}
 	loss = 1 + pen - margin
@@ -140,24 +123,17 @@ func hinge(x, w, v []float64, y, dot, gamma, rho float64) (loss, vnorm float64) 
 	return loss, vnorm
 }
 
-// overlapMin is the smallest pass, in multiply-adds (samples x features),
-// whose early-stop loss TrainColumn computes on a second goroutine. Below
-// it, starting and waking that goroutine every epoch costs more than the
-// overlap saves (DESIGN.md §4.1 has the sweep).
-const overlapMin = 1 << 17
-
 // TrainColumn solves the program with projected SGD and returns the
 // weight vector. The sample order is shuffled per epoch using src, so
 // training is deterministic in the seed.
 //
 // Training stops once the mean loss changes by less than Tol from one
-// epoch to the next. Epoch e's loss decides whether epoch e+1 stands, so
-// it is computed on a snapshot of w while epoch e+1 runs: on a second
-// goroutine from overlapMin multiply-adds per pass, inline below it. If
-// the loss says stop, src is rolled back to before epoch e+1's shuffle
-// and the snapshot is returned, so the weights and src's state are
-// those of a loop that tests the loss before each epoch. TrainColumn
-// waits for the goroutine before it returns.
+// epoch to the next. Epoch e's loss decides whether epoch e+1 stands,
+// so epoch e+1's pass computes it: it scores every sample against a
+// snapshot of w as epoch e left it, in the same sweep that scores the
+// current w. If the loss says stop, src is rolled back to before epoch
+// e+1's shuffle and the snapshot is returned, so the weights and src's
+// state are those of a loop that tests the loss before each epoch.
 func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -174,37 +150,29 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 		order[i] = i
 	}
 	rate := cfg.Rate
-	v := make([]float64, n) // scratch for x o w
-	epoch := func() {
-		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		sgdPass(p, order, w, v, rate, cfg.WMax)
-		rate *= cfg.RateDecay
-	}
-	epoch()
-	overlap := s*n >= overlapMin
-	prev := make([]float64, n) // w as the previous epoch left it
+	prev := make([]float64, n)  // w as the previous epoch left it
+	terms := make([]float64, s) // each sample's loss against prev
+	blk := new(block)
 	prevLoss := math.Inf(1)
-	// One slot: the goroutine never waits for the receive, and the
-	// inline path sends before it receives.
-	lossc := make(chan float64, 1)
-	for e := 1; e < cfg.Epochs; e++ {
+	for e := 0; e < cfg.Epochs; e++ {
 		saved := *src
 		copy(prev, w)
-		if overlap {
-			go func() { lossc <- MeanLoss(p, prev) }()
-		} else {
-			lossc <- MeanLoss(p, prev)
+		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		sgdPass(p, order, w, prev, terms, blk, rate, cfg.WMax)
+		rate *= cfg.RateDecay
+		if e == 0 {
+			continue // prev is the zero start, whose loss nothing tests
 		}
-		epoch()
-		loss := <-lossc
+		loss := meanLoss(terms)
 		if math.Abs(prevLoss-loss) < cfg.Tol {
 			*src = saved // epoch e never ran
 			return prev, nil
 		}
 		if loss == 0 {
-			// Every sample met its margin, so epoch e took no step (its
-			// pass shares hinge with MeanLoss) and its loss is 0 again,
-			// which would stop the loop here.
+			// Every sample met its margin under prev, so epoch e took
+			// no step (its scores against w and prev were the same
+			// chains) and its loss is 0 again, which would stop the
+			// loop here.
 			return w, nil
 		}
 		prevLoss = loss
@@ -212,37 +180,67 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	return w, nil
 }
 
+// meanLoss returns the mean of the per-sample loss terms, summed in
+// ascending sample order.
+func meanLoss(terms []float64) float64 {
+	s := 0.0
+	for _, l := range terms {
+		s += l
+	}
+	return s / float64(len(terms))
+}
+
+// block is sgdPass's scratch for one mat.ScoreRows8 call. The call goes
+// through the ISA dispatch, so its arguments escape to the heap;
+// TrainColumn allocates one block per call rather than one per pass.
+type block struct {
+	sc  mat.Scores8
+	off [8]int
+}
+
 // sgdPass visits the samples in order and takes a projected sub-gradient
-// step on w at rate for every sample that violates its margin. v is
-// scratch for x o w.
+// step on w at rate for every sample that violates its margin. It also
+// sets terms[i] to sample i's loss against prev, which it does not
+// change.
 //
-// It scores the next four positions per mat.Dot4 call (a pass's last
-// three one mat.Dot each) against the current w, then visits them in
-// order. A step replaces w and leaves the later scores stale, so the
-// pass rescores from the position after it; most samples take no step.
-func sgdPass(p Problem, order []int, w, v []float64, rate, wmax float64) {
+// It scores the next eight positions per mat.ScoreRows8 call (a pass's
+// last seven one mat.Dot each) against the current w and against prev,
+// with the penalty's sums of squares when it is on, then visits them in
+// order. A step replaces w and leaves the later scores against w stale,
+// so the pass rescores from the position after it; most samples take
+// no step.
+func sgdPass(p Problem, order []int, w, prev, terms []float64, blk *block, rate, wmax float64) {
 	s := len(order)
-	var dots [4]float64
+	n := p.X.Cols
+	pen := p.Gamma > 0 && p.Rho > 0
+	sc, off := &blk.sc, &blk.off
 	for k := 0; k < s; {
 		m := 1
-		if s-k >= 4 {
-			m = 4
-			dots[0], dots[1], dots[2], dots[3] = mat.Dot4(p.X.Row(order[k]), p.X.Row(order[k+1]),
-				p.X.Row(order[k+2]), p.X.Row(order[k+3]), w)
+		if s-k >= 8 {
+			m = 8
+			for j := range off {
+				off[j] = order[k+j] * n
+			}
+			mat.ScoreRows8(sc, p.X.Data, off, w, prev, pen)
 		} else {
-			dots[0] = mat.Dot(p.X.Row(order[k]), w)
+			x := p.X.Row(order[k])
+			sc.Dot[0], sc.DotPrev[0] = mat.Dot(x, w), mat.Dot(x, prev)
+			if pen {
+				sc.Sq[0], sc.SqPrev[0] = sumSq(x, w), sumSq(x, prev)
+			}
 		}
-		for _, dot := range dots[:m] {
+		for j := 0; j < m; j++ {
 			idx := order[k]
 			k++
-			x := p.X.Row(idx)
 			y := p.Y[idx]
+			terms[idx], _ = hinge(y, sc.DotPrev[j], sc.SqPrev[j], p.Gamma, p.Rho)
 			// Evaluate the active constraint.
-			l, vnorm := hinge(x, w, v, y, dot, p.Gamma, p.Rho)
+			l, vnorm := hinge(y, sc.Dot[j], sc.Sq[j], p.Gamma, p.Rho)
 			if l <= 0 {
 				continue // satisfied with slack zero: no sub-gradient
 			}
 			// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
+			x := p.X.Row(idx)
 			coef := 0.0
 			if vnorm > 1e-30 {
 				coef = p.Gamma * p.Rho / vnorm
@@ -257,7 +255,7 @@ func sgdPass(p Problem, order []int, w, v []float64, rate, wmax float64) {
 				}
 				w[q] = wq
 			}
-			break // the block's later scores are stale
+			break // the block's later scores against w are stale
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"vortex/internal/dataset"
 	"vortex/internal/mat"
@@ -148,7 +147,7 @@ func TestPenaltyMonotoneInGamma(t *testing.T) {
 	w := src.NormVec(nil, 6, 1)
 	prev := -1.0
 	for _, gamma := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		l := MeanLoss(Problem{X: x, Y: y, Gamma: gamma, Rho: 3}, w)
+		l := refMeanLoss(Problem{X: x, Y: y, Gamma: gamma, Rho: 3}, w)
 		if l < prev {
 			t.Fatalf("mean loss decreased with gamma: %v -> %v", prev, l)
 		}
@@ -276,24 +275,9 @@ func TestAccuracyAllocs(t *testing.T) {
 	}
 }
 
-// goroutinesBackTo reports whether runtime.NumGoroutine falls to want
-// within a second. A goroutine that has handed over its result still
-// has to exit, so the count may lag the return that waited for it by a
-// moment.
-func goroutinesBackTo(want int) bool {
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
-}
-
-// TestTrainColumnLeavesNoGoroutine: on every exit of the epoch loop,
-// above overlapMin and below it, TrainColumn returns only once the
-// goroutine computing the early-stop loss has finished.
+// TestTrainColumnLeavesNoGoroutine: TrainColumn trains on its caller's
+// goroutine, so on every exit of the epoch loop the goroutine count is
+// what it was before the call.
 func TestTrainColumnLeavesNoGoroutine(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -304,7 +288,6 @@ func TestTrainColumnLeavesNoGoroutine(t *testing.T) {
 		{"ran every epoch", 1201, 128, 0, SGDConfig{Epochs: 5}},
 		{"stopped at loss 0", 1201, 128, 6, SGDConfig{}},
 		{"stopped at a loss change below Tol", 1201, 128, 0, SGDConfig{Tol: 1e-2}},
-		{"below overlapMin", 250, 49, 0, SGDConfig{Epochs: 5}},
 	}
 	for _, c := range cases {
 		p := sparseProblem(41, c.s, c.n, c.margin)
@@ -312,8 +295,8 @@ func TestTrainColumnLeavesNoGoroutine(t *testing.T) {
 		if _, err := TrainColumn(p, c.cfg, rng.New(3)); err != nil {
 			t.Fatal(err)
 		}
-		if !goroutinesBackTo(before) {
-			t.Fatalf("%s: %d goroutines after TrainColumn returned, %d before", c.name, runtime.NumGoroutine(), before)
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%s: %d goroutines after TrainColumn returned, %d before", c.name, after, before)
 		}
 	}
 }
@@ -322,14 +305,11 @@ func TestTrainColumnLeavesNoGoroutine(t *testing.T) {
 // shared sample matrix, as parallelTrials runs its trials, each return
 // what the same call returns alone. Run it under -race.
 func TestTrainAllConcurrentCalls(t *testing.T) {
-	train, _, err := dataset.Digits(70, 0, 2, 9) // 700 x 196, above overlapMin
+	train, _, err := dataset.Digits(70, 0, 2, 9) // 700 x 196
 	if err != nil {
 		t.Fatal(err)
 	}
 	x, labels := train.ToMatrix()
-	if x.Rows*x.Cols < overlapMin {
-		t.Fatalf("%d x %d is below overlapMin", x.Rows, x.Cols)
-	}
 	rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
 	cfg := SGDConfig{Epochs: 6}
 	const calls = 4

@@ -169,21 +169,20 @@ func exitOf(ran, epochs int, loss float64) exit {
 	}
 }
 
-// TestTrainColumnMatchesReference: the blocked trainer returns the
+// TestTrainColumnMatchesReference: the fused trainer returns the
 // reference's weights bit for bit and leaves the source where the
-// reference does, for GDT and VAT, at every sample count mod 4 and below
-// four, after one and two epochs, and on every exit: running out of
-// epochs, stopping at loss 0 and stopping at a non-zero loss. The cases
-// from 1201 x 128 up are above overlapMin, so their early-stop loss runs
-// on a second goroutine. MeanLoss and SampleLoss match the reference's
-// on the trained weights.
+// reference does, for GDT and VAT, at every sample count mod 8 and below
+// eight, after one and two epochs, and on every exit: running out of
+// epochs, stopping at loss 0 and stopping at a non-zero loss, each taken
+// at gamma 0 and at gamma > 0. SampleLoss matches the reference's on the
+// trained weights.
 func TestTrainColumnMatchesReference(t *testing.T) {
 	gammas := []float64{0, 0.05, 0.5}
 	cases := []struct {
 		s, n   int
 		margin float64 // 0: coin-flip targets
 		cfg    SGDConfig
-		exits  [3]exit // at each of gammas
+		exits  [3]exit // at each of gammas; "" leaves it unchecked
 	}{
 		// A one-sample shuffle draws nothing, so at s 1 only a zero loss
 		// tells the exit.
@@ -202,8 +201,20 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 		{s: 1201, n: 128, cfg: SGDConfig{Epochs: 1}, exits: [3]exit{ranOut, ranOut, ranOut}},
 		{s: 1201, n: 128, cfg: SGDConfig{Epochs: 2}, exits: [3]exit{ranOut, ranOut, ranOut}},
 		{s: 1201, n: 128, margin: 6, cfg: SGDConfig{Epochs: 2}, exits: [3]exit{ranOut, ranOut, ranOut}},
+		// The remaining counts below and mod 8.
+		{s: 6, n: 7, margin: 0.5},
+		{s: 7, n: 7, margin: 0.5},
+		{s: 8, n: 7, margin: 0.5},
+		{s: 9, n: 7, margin: 0.5},
+		{s: 17, n: 5, margin: 0.5},
+		{s: 1203, n: 49, cfg: SGDConfig{Epochs: 12}},
+		{s: 1204, n: 49, cfg: SGDConfig{Epochs: 12}},
+		{s: 1205, n: 49, cfg: SGDConfig{Epochs: 12}},
+		{s: 1206, n: 49, cfg: SGDConfig{Epochs: 12}},
+		{s: 1207, n: 49, cfg: SGDConfig{Epochs: 12}},
+		{s: 1208, n: 49, cfg: SGDConfig{Epochs: 12}},
 	}
-	overlapped := map[exit]bool{} // exits taken above overlapMin
+	taken := map[bool]map[exit]bool{false: {}, true: {}} // by gamma > 0
 	for ci, c := range cases {
 		for gi, gamma := range gammas {
 			p := sparseProblem(uint64(31+ci), c.s, c.n, c.margin)
@@ -231,19 +242,14 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 			if next != refNext {
 				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
 			}
-			l := MeanLoss(p, w)
-			if ref := refMeanLoss(p, w); math.Float64bits(l) != math.Float64bits(ref) {
-				t.Fatalf("%s: MeanLoss %v, reference %v", name, l, ref)
-			}
+			l := refMeanLoss(p, w)
 			epochs := c.cfg.withDefaults().Epochs
 			ran := epochsRun(seed, c.s, epochs, next)
 			got := exitOf(ran, epochs, l)
 			if c.exits[gi] != "" && got != c.exits[gi] {
 				t.Errorf("%s: %s after %d of %d epochs at loss %v, case wants %s", name, got, ran, epochs, l, c.exits[gi])
 			}
-			if c.s*c.n >= overlapMin {
-				overlapped[got] = true
-			}
+			taken[gamma > 0][got] = true
 			for i := 0; i < p.X.Rows && i < 5; i++ {
 				l := SampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho)
 				if ref := refSampleLoss(w, p.X.Row(i), p.Y[i], p.Gamma, p.Rho); math.Float64bits(l) != math.Float64bits(ref) {
@@ -252,19 +258,65 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range []exit{ranOut, zeroLoss, stopped} {
-		if !overlapped[e] {
-			t.Errorf("no case above overlapMin (%d multiply-adds) %s", overlapMin, e)
+	for _, pen := range []bool{false, true} {
+		for _, e := range []exit{ranOut, zeroLoss, stopped} {
+			if !taken[pen][e] {
+				t.Errorf("no case at gamma > 0 %v %s", pen, e)
+			}
+		}
+	}
+}
+
+// TestSweepLossMatchesReference: the loss an SGD pass gives for its
+// snapshot is refMeanLoss of that snapshot, bit for bit, and the pass
+// leaves the snapshot alone, for GDT and VAT at every sample count mod
+// 8 and below eight, with a snapshot the pass starts from and one it
+// does not.
+func TestSweepLossMatchesReference(t *testing.T) {
+	for _, s := range []int{1, 5, 8, 13, 250, 1201, 1202, 1203, 1204, 1205, 1206, 1207, 1208} {
+		for _, gamma := range []float64{0, 0.05, 0.5} {
+			p := sparseProblem(uint64(s), s, 49, 0)
+			p.Gamma = gamma
+			if gamma > 0 {
+				p.Rho = stats.ThetaNormBound(0.6, 49, 0.9)
+			}
+			src := rng.New(uint64(s) + 7)
+			order := src.Perm(s)
+			prev := src.NormVec(nil, 49, 0.2)
+			for _, fresh := range []bool{false, true} {
+				w := append([]float64(nil), prev...)
+				if fresh {
+					w = src.NormVec(nil, 49, 0.2)
+				}
+				kept := append([]float64(nil), prev...)
+				terms := make([]float64, s)
+				sgdPass(p, order, w, prev, terms, new(block), 0.05, 1)
+				got, want := meanLoss(terms), refMeanLoss(p, kept)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("s %d gamma %v fresh w %v: sweep loss %v, reference %v", s, gamma, fresh, got, want)
+				}
+				for q := range prev {
+					if math.Float64bits(prev[q]) != math.Float64bits(kept[q]) {
+						t.Fatalf("s %d gamma %v: the pass changed prev[%d]", s, gamma, q)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestTrainAllMatchesReference: TrainAll's ten columns are ten
 // refTrainColumn calls, in class order, that share one source. It runs
-// on the generated digits at the Quick (250 x 49, below overlapMin) and
-// Default (1,200 x 196, above it) sizes, for GDT and VAT.
+// on the generated digits at the Quick (250 x 49) and Default (1,200 x
+// 196) sizes for GDT and VAT, and at Full (4,000 x 784) for GDT.
 func TestTrainAllMatchesReference(t *testing.T) {
-	sizes := []struct{ perClass, factor, epochs int }{{25, 4, 20}, {120, 2, 40}}
+	sizes := []struct {
+		perClass, factor, epochs int
+		gammas                   []float64
+	}{{25, 4, 20, []float64{0, 0.05}}, {120, 2, 40, []float64{0, 0.05}}, {400, 1, 60, []float64{0}}}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
 	for _, sz := range sizes {
 		train, _, err := dataset.Digits(sz.perClass, 0, sz.factor, 5)
 		if err != nil {
@@ -273,7 +325,7 @@ func TestTrainAllMatchesReference(t *testing.T) {
 		x, labels := train.ToMatrix()
 		rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
 		cfg := SGDConfig{Epochs: sz.epochs}
-		for _, gamma := range []float64{0, 0.05} {
+		for _, gamma := range sz.gammas {
 			name := fmt.Sprintf("%d x %d gamma %v", x.Rows, x.Cols, gamma)
 			src, refSrc := rng.New(11), rng.New(11)
 			w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, cfg, src)
@@ -305,17 +357,24 @@ func TestTrainAllMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMeanLossAllocs: MeanLoss allocates nothing without the penalty and
-// one scratch vector per call with it, not one per sample.
-func TestMeanLossAllocs(t *testing.T) {
+// TestTrainColumnAllocs: TrainColumn allocates its buffers once per
+// call: as many allocations for 30 epochs as for one, with the penalty
+// on or off.
+func TestTrainColumnAllocs(t *testing.T) {
 	p := sparseProblem(3, 203, 49, 0)
-	w := rng.New(4).NormVec(nil, 49, 0.1)
-	if allocs := testing.AllocsPerRun(20, func() { MeanLoss(p, w) }); allocs != 0 {
-		t.Fatalf("gamma 0: MeanLoss allocates %v per call, want 0", allocs)
-	}
-	p.Gamma, p.Rho = 0.05, 3
-	if allocs := testing.AllocsPerRun(20, func() { MeanLoss(p, w) }); allocs > 1 {
-		t.Fatalf("gamma 0.05: MeanLoss allocates %v per call, want at most 1", allocs)
+	for _, gamma := range []float64{0, 0.05} {
+		p.Gamma, p.Rho = gamma, 3
+		allocs := func(epochs int) float64 {
+			src := rng.New(4)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := TrainColumn(p, SGDConfig{Epochs: epochs}, src); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if one, many := allocs(1), allocs(30); many != one || one > 6 {
+			t.Fatalf("gamma %v: TrainColumn allocates %v per call at 1 epoch and %v at 30, want the same and at most 6", gamma, one, many)
+		}
 	}
 }
 
@@ -325,17 +384,14 @@ var benchSink *mat.Matrix
 // BenchmarkTrainAll trains the ten 1-vs-all columns on the generated
 // digits, for GDT and for VAT at gamma 0.05, at the experiments' Quick
 // (250 x 49, 20 epochs), Default (1,200 x 196, 40 epochs) and Full
-// (4,000 x 784, 60 epochs) sizes, and at 600 x 196 and 800 x 196 (40
-// epochs), one on each side of overlapMin. Run it at -cpu 1,2: the
-// early-stop loss overlaps the next pass only on a free second core.
+// (4,000 x 784, 60 epochs) sizes. Training runs on one goroutine, so
+// -cpu 1 and -cpu 2 should read alike.
 func BenchmarkTrainAll(b *testing.B) {
 	sizes := []struct {
 		name                    string
 		perClass, factor, epoch int
 	}{
 		{"quick", 25, 4, 20},
-		{"600x196", 60, 2, 40},
-		{"800x196", 80, 2, 40},
 		{"default", 120, 2, 40},
 		{"full", 400, 1, 60},
 	}

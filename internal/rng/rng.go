@@ -58,6 +58,24 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
+// state is a Source's four words held as a value, so that a loop that
+// draws many numbers keeps them in registers rather than in memory.
+type state struct{ a, b, c, d uint64 }
+
+// next is Uint64 on a state value: it returns the output and the
+// advanced state.
+func (x state) next() (uint64, state) {
+	result := rotl(x.b*5, 7) * 9
+	t := x.b << 17
+	x.c ^= x.a
+	x.d ^= x.b
+	x.b ^= x.c
+	x.a ^= x.d
+	x.c ^= t
+	x.d = rotl(x.d, 45)
+	return result, x
+}
+
 // Split returns a new Source whose stream is independent of the parent's
 // future output. It consumes entropy from the parent, so the parent's
 // subsequent stream also changes; this is the intended "fork" semantics
@@ -155,6 +173,57 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
+}
+
+// PixelNoise makes the noise draws of a stretch of image pixels with
+// the generator's state held in locals, written back once. Per pixel it
+// draws one Normal(0, std) when std > 0, then one Bernoulli(flip) when
+// flip > 0, exactly as those calls would. It first advances past skip
+// pixels, making their draws without computing the normal sample (as
+// SkipNorm, then Uint64, would). It then applies the noise to every
+// pixel v of px, in order: v += Normal(0, std); v = 1 - v when the
+// Bernoulli draw is true; then v is clamped to [0, 1].
+func (s *Source) PixelNoise(px []float64, skip int, std, flip float64) {
+	x := state{s.s[0], s.s[1], s.s[2], s.s[3]}
+	var r uint64
+	uniform := func() float64 { // Float64
+		r, x = x.next()
+		return float64(r>>11) * (1.0 / (1 << 53))
+	}
+	polar := func() (u, q float64) { // the polar method's loop, as in Source.polar
+		for {
+			u = 2*uniform() - 1
+			v := 2*uniform() - 1
+			q = u*u + v*v
+			if q > 0 && q < 1 {
+				return u, q
+			}
+		}
+	}
+	for ; skip > 0; skip-- {
+		if std > 0 {
+			polar()
+		}
+		if flip > 0 {
+			_, x = x.next()
+		}
+	}
+	for i, v := range px {
+		if std > 0 {
+			u, q := polar()
+			v += 0 + std*(u*math.Sqrt(-2*math.Log(q)/q)) // Normal(0, std)
+		}
+		if flip > 0 && uniform() < flip {
+			v = 1 - v
+		}
+		if v < 0 {
+			v = 0
+		} else if v > 1 {
+			v = 1
+		}
+		px[i] = v
+	}
+	s.s = [4]uint64{x.a, x.b, x.c, x.d}
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a slice.

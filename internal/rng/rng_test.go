@@ -132,6 +132,61 @@ func TestSkipNormKeepsStep(t *testing.T) {
 	}
 }
 
+// TestPixelNoiseMatchesPerCall: over 10⁵ pixels from five seeds, in
+// stretches of random length that skip some pixels and apply the noise
+// to others, with the Gaussian and the flip draws each on or off,
+// PixelNoise leaves the source in the state the per-call SkipNorm,
+// Uint64, Normal and Bernoulli sequence leaves after every stretch, and
+// gives every applied pixel that sequence's value bit for bit.
+func TestPixelNoiseMatchesPerCall(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
+		walk, calls := New(seed), New(seed)
+		lens := New(seed + 1000)
+		for pixels, stretch := 0, 0; pixels < 100000; stretch++ {
+			std := []float64{0, 0.07, 0.3}[lens.Intn(3)]
+			flip := []float64{0, 0.002, 0.5}[lens.Intn(3)]
+			skip := lens.Intn(60)
+			px := make([]float64, lens.Intn(40))
+			for i := range px {
+				px[i] = []float64{0, 1, lens.Float64(), 2*lens.Float64() - 0.5}[lens.Intn(4)]
+			}
+			want := append([]float64(nil), px...)
+			walk.PixelNoise(px, skip, std, flip)
+			for k := 0; k < skip; k++ {
+				if std > 0 {
+					calls.SkipNorm()
+				}
+				if flip > 0 {
+					calls.Uint64()
+				}
+			}
+			for i, v := range want {
+				if std > 0 {
+					v += calls.Normal(0, std)
+				}
+				if flip > 0 && calls.Bernoulli(flip) {
+					v = 1 - v
+				}
+				if v < 0 {
+					v = 0
+				} else if v > 1 {
+					v = 1
+				}
+				want[i] = v
+			}
+			if walk.s != calls.s {
+				t.Fatalf("seed %d stretch %d (skip %d, %d px, std %v, flip %v): states differ", seed, stretch, skip, len(px), std, flip)
+			}
+			for i := range px {
+				if math.Float64bits(px[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d stretch %d pixel %d: %v, per-call %v", seed, stretch, i, px[i], want[i])
+				}
+			}
+			pixels += skip + len(px)
+		}
+	}
+}
+
 // TestNormPinned pins Norm's first samples from seed 1, so a change to
 // the sampler that moves its values fails here and not only in the
 // experiments' golden digests.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -586,6 +587,32 @@ func TestServeRealFleet(t *testing.T) {
 	json.Unmarshal(body, &cr)
 	if bin.Class != cr.Result.Class {
 		t.Errorf("binary class %d != json class %d", bin.Class, cr.Result.Class)
+	}
+}
+
+// TestBuildFleetWaitsForTestSet: BuildFleet renders its test set on a
+// second goroutine beside training, and no return leaves it running:
+// after a boot, and after an error from fabrication once the render has
+// started, the goroutine count is back to what it was. Run it under
+// -race -count=10.
+func TestBuildFleetWaitsForTestSet(t *testing.T) {
+	before := runtime.NumGoroutine()
+	boot, err := BuildFleet(BootConfig{Scale: "quick", Members: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boot.Test.Len() != 150 || boot.Accuracy <= 0.1 {
+		t.Fatalf("test set of %d samples, boot accuracy %v", boot.Test.Len(), boot.Accuracy)
+	}
+	if _, err := BuildFleet(BootConfig{Scale: "quick", Members: 1, Sigma: -1}); err == nil {
+		t.Fatal("negative sigma: expected a fabrication error")
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after BuildFleet returned, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }
 
