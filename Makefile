@@ -21,6 +21,7 @@ race:
 	$(GO) test -race ./internal/hw/
 	$(GO) test -race ./internal/mat/
 	$(GO) test -race ./internal/opt/
+	$(GO) test -race -count=10 -timeout 30m ./internal/opt/ -run 'TestTrainAll'
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
 	$(GO) test -race -count=10 ./internal/dataset/ -run 'TestSplitRenderMatchesSerial'
 	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
@@ -28,7 +29,7 @@ race:
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race ./internal/serve/
-	$(GO) test -race -count=10 ./internal/serve/ -run 'TestBuildFleetWaitsForTestSet'
+	$(GO) test -race -count=10 ./internal/serve/ -run 'TestBuildFleetLeavesNoGoroutine'
 	$(GO) test -race ./internal/chaos/
 
 # Regenerates every paper table/figure plus the extension studies at

@@ -24,8 +24,11 @@ package opt
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"vortex/internal/mat"
+	"vortex/internal/obs"
 	"vortex/internal/rng"
 )
 
@@ -135,13 +138,27 @@ func hinge(y, dot, sq, gamma, rho float64) (loss, vnorm float64) {
 // e+1's shuffle and the snapshot is returned, so the weights and src's
 // state are those of a loop that tests the loss before each epoch.
 func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(p, src); err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("opt: nil rng source")
+	return trainColumn(p, cfg.withDefaults(), src, nil), nil
+}
+
+// validate returns the error TrainColumn reports for p and src, if any.
+func validate(p Problem, src *rng.Source) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	cfg = cfg.withDefaults()
+	if src == nil {
+		return errors.New("opt: nil rng source")
+	}
+	return nil
+}
+
+// trainColumn is TrainColumn on a valid problem, with cfg's defaults
+// resolved. Before each epoch it checks stop (when not nil); once stop
+// is set it returns nil, leaving src wherever training got to.
+func trainColumn(p Problem, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) []float64 {
 	n := p.X.Cols
 	s := p.X.Rows
 	w := make([]float64, n)
@@ -155,6 +172,9 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	blk := new(block)
 	prevLoss := math.Inf(1)
 	for e := 0; e < cfg.Epochs; e++ {
+		if stop != nil && stop.Load() {
+			return nil
+		}
 		saved := *src
 		copy(prev, w)
 		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -166,18 +186,18 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 		loss := meanLoss(terms)
 		if math.Abs(prevLoss-loss) < cfg.Tol {
 			*src = saved // epoch e never ran
-			return prev, nil
+			return prev
 		}
 		if loss == 0 {
 			// Every sample met its margin under prev, so epoch e took
 			// no step (its scores against w and prev were the same
 			// chains) and its loss is 0 again, which would stop the
 			// loop here.
-			return w, nil
+			return w
 		}
 		prevLoss = loss
 	}
-	return w, nil
+	return w
 }
 
 // meanLoss returns the mean of the per-sample loss terms, summed in
@@ -262,30 +282,129 @@ func sgdPass(p Problem, order []int, w, prev, terms []float64, blk *block, rate,
 
 // TrainAll trains one column per class with 1-vs-all targets and returns
 // the n x classes weight matrix. labels[i] in [0, classes).
+//
+// The weights, and src's state afterwards, are those of TrainColumn
+// called for class 0, 1, ... in turn on src, but up to GOMAXPROCS
+// columns train at once. A column's shuffles start where its
+// predecessor's ended. While the predecessor is still training, the
+// column starts from where the predecessor ends if it runs every epoch,
+// which early stopping can make wrong. Columns are kept in class order,
+// each only after its start is checked against the state its
+// predecessor really left. A column that fails the check is stopped and
+// thrown away with every later one, and trained again from the right
+// state. On error src is left as it was.
 func TrainAll(x *mat.Matrix, labels []int, classes int, gamma, rho float64, cfg SGDConfig, src *rng.Source) (*mat.Matrix, error) {
 	if len(labels) != x.Rows {
 		return nil, errors.New("opt: label count mismatch")
 	}
 	w := mat.NewMatrix(x.Cols, classes)
-	y := make([]float64, x.Rows)
-	for class := 0; class < classes; class++ {
-		for i, l := range labels {
-			if l < 0 || l >= classes {
-				return nil, errors.New("opt: label out of range")
-			}
-			if l == class {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
-		col, err := TrainColumn(Problem{X: x, Y: y, Gamma: gamma, Rho: rho}, cfg, src)
-		if err != nil {
-			return nil, err
-		}
-		w.SetCol(class, col)
+	if classes == 0 {
+		return w, nil // no column, so nothing to check
 	}
+	for _, l := range labels {
+		if l < 0 || l >= classes {
+			return nil, errors.New("opt: label out of range")
+		}
+	}
+	// Every column's problem differs only in its ±1 targets, so class
+	// 0's stands for all of them, and no column can fail.
+	if err := validate(Problem{X: x, Y: targets(labels, 0), Gamma: gamma, Rho: rho}, src); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	workers := min(runtime.GOMAXPROCS(0), classes)
+	done := make(chan *column) // unbuffered: every started column must be received
+	truth := *src              // where the last kept column ended
+	var live []*column         // started and not thrown away: classes kept, kept+1, ...
+	kept, running := 0, 0
+	var speculated, discarded int64
+	for kept < classes {
+		for running < workers && kept+len(live) < classes {
+			col := &column{class: kept + len(live), start: truth}
+			if k := len(live); k > 0 {
+				speculated++
+				if prev := live[k-1]; prev.finished {
+					col.start = prev.end
+				} else {
+					col.start = prev.start
+					for e := 0; e < cfg.Epochs; e++ {
+						col.start.SkipShuffle(x.Rows)
+					}
+				}
+			}
+			live = append(live, col)
+			running++
+			go func() {
+				s := col.start
+				p := Problem{X: x, Y: targets(labels, col.class), Gamma: gamma, Rho: rho}
+				col.w = trainColumn(p, cfg, &s, &col.stop)
+				col.end = s
+				done <- col
+			}()
+		}
+		col := <-done
+		running--
+		if col.stop.Load() {
+			continue // thrown away
+		}
+		col.finished = true
+		// Check every start whose predecessor has finished: the first
+		// live column's against truth, a later one's against the end of
+		// the column before it.
+		end := truth
+		for i, c := range live {
+			if c.start != end {
+				for _, d := range live[i:] {
+					d.stop.Store(true)
+				}
+				discarded += int64(len(live) - i)
+				live = live[:i]
+				break
+			}
+			if !c.finished {
+				break
+			}
+			end = c.end
+		}
+		for len(live) > 0 && live[0].finished {
+			w.SetCol(live[0].class, live[0].w)
+			truth = live[0].end
+			live = live[1:]
+			kept++
+		}
+	}
+	for ; running > 0; running-- {
+		<-done // a thrown-away column, which stops within one pass
+	}
+	reg := obs.Default()
+	reg.Counter("opt.trainall.speculated").Add(speculated)
+	reg.Counter("opt.trainall.discarded").Add(discarded)
+	*src = truth
 	return w, nil
+}
+
+// column is one class's training in TrainAll. The goroutine that trains
+// it writes w and end; TrainAll reads them after receiving the column.
+type column struct {
+	class    int
+	start    rng.Source // the state its shuffles start from
+	end      rng.Source // the state they left
+	w        []float64
+	finished bool        // received and not thrown away
+	stop     atomic.Bool // set when it is thrown away
+}
+
+// targets returns class's 1-vs-all targets: +1 where the label is class,
+// -1 elsewhere.
+func targets(labels []int, class int) []float64 {
+	y := make([]float64, len(labels))
+	for i, l := range labels {
+		y[i] = -1
+		if l == class {
+			y[i] = 1
+		}
+	}
+	return y
 }
 
 // Accuracy returns the fraction of samples whose argmax output under

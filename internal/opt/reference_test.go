@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"vortex/internal/dataset"
 	"vortex/internal/mat"
+	"vortex/internal/obs"
 	"vortex/internal/rng"
 	"vortex/internal/stats"
 )
@@ -131,19 +134,15 @@ func sparseProblem(seed uint64, s, n int, margin float64) Problem {
 	return Problem{X: x, Y: y}
 }
 
-// epochsRun returns how many shuffles of s positions a fresh
-// rng.New(seed) must draw before its next Uint64 is next: the number of
-// epochs a trainer seeded with seed ran. It returns -1 if no count up to
-// limit matches.
-func epochsRun(seed uint64, s, limit int, next uint64) int {
+// shufflesDrawn returns how many shuffles of s positions take a source
+// from start to end, or -1 if no count up to limit does: the number of
+// epochs a trainer that started at start and left end ran.
+func shufflesDrawn(start, end rng.Source, s, limit int) int {
 	for e := 0; e <= limit; e++ {
-		src := rng.New(seed)
-		for k := 0; k < e; k++ {
-			src.Shuffle(s, func(i, j int) {})
-		}
-		if src.Uint64() == next {
+		if start == end {
 			return e
 		}
+		start.SkipShuffle(s)
 	}
 	return -1
 }
@@ -238,13 +237,14 @@ func TestTrainColumnMatchesReference(t *testing.T) {
 					t.Fatalf("%s: w[%d] = %v, reference %v", name, q, w[q], want[q])
 				}
 			}
+			end := *src
 			next, refNext := src.Uint64(), refSrc.Uint64()
 			if next != refNext {
 				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
 			}
 			l := refMeanLoss(p, w)
 			epochs := c.cfg.withDefaults().Epochs
-			ran := epochsRun(seed, c.s, epochs, next)
+			ran := shufflesDrawn(*rng.New(seed), end, c.s, epochs)
 			got := exitOf(ran, epochs, l)
 			if c.exits[gi] != "" && got != c.exits[gi] {
 				t.Errorf("%s: %s after %d of %d epochs at loss %v, case wants %s", name, got, ran, epochs, l, c.exits[gi])
@@ -305,10 +305,20 @@ func TestSweepLossMatchesReference(t *testing.T) {
 	}
 }
 
+// atProcs calls f at GOMAXPROCS 1, 2 and 4, then restores the setting.
+func atProcs(f func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
+
 // TestTrainAllMatchesReference: TrainAll's ten columns are ten
-// refTrainColumn calls, in class order, that share one source. It runs
-// on the generated digits at the Quick (250 x 49) and Default (1,200 x
-// 196) sizes for GDT and VAT, and at Full (4,000 x 784) for GDT.
+// refTrainColumn calls, in class order, that share one source, at
+// GOMAXPROCS 1, 2 and 4. It runs on the generated digits at the Quick
+// (250 x 49) and Default (1,200 x 196) sizes for GDT and VAT, and at
+// Full (4,000 x 784) for GDT.
 func TestTrainAllMatchesReference(t *testing.T) {
 	sizes := []struct {
 		perClass, factor, epochs int
@@ -326,35 +336,168 @@ func TestTrainAllMatchesReference(t *testing.T) {
 		rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
 		cfg := SGDConfig{Epochs: sz.epochs}
 		for _, gamma := range sz.gammas {
-			name := fmt.Sprintf("%d x %d gamma %v", x.Rows, x.Cols, gamma)
-			src, refSrc := rng.New(11), rng.New(11)
-			w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, cfg, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y := make([]float64, x.Rows)
+			want := mat.NewMatrix(x.Cols, dataset.NumClasses)
+			refSrc := rng.New(11)
 			for class := 0; class < dataset.NumClasses; class++ {
-				for i, l := range labels {
-					y[i] = -1
-					if l == class {
-						y[i] = 1
-					}
-				}
-				want, err := refTrainColumn(Problem{X: x, Y: y, Gamma: gamma, Rho: rho}, cfg, refSrc)
+				col, err := refTrainColumn(Problem{X: x, Y: targets(labels, class), Gamma: gamma, Rho: rho}, cfg, refSrc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for q, got := range w.Col(class) {
-					if math.Float64bits(got) != math.Float64bits(want[q]) {
-						t.Fatalf("%s: class %d w[%d] = %v, reference %v", name, class, q, got, want[q])
-					}
+				want.SetCol(class, col)
+			}
+			refNext := refSrc.Uint64()
+			atProcs(func(procs int) {
+				name := fmt.Sprintf("%d x %d gamma %v GOMAXPROCS %d", x.Rows, x.Cols, gamma, procs)
+				src := rng.New(11)
+				w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, cfg, src)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if next, refNext := src.Uint64(), refSrc.Uint64(); next != refNext {
-				t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
-			}
+				sameWeights(t, name, w, want)
+				if next := src.Uint64(); next != refNext {
+					t.Fatalf("%s: source's next draw %x, reference %x", name, next, refNext)
+				}
+			})
 		}
 	}
+}
+
+// sameWeights fails the test unless got and want are equal bit for bit.
+func sameWeights(t *testing.T, name string, got, want *mat.Matrix) {
+	t.Helper()
+	for k, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("%s: class %d w[%d] = %v, want %v", name, k%want.Cols, k/want.Cols, v, want.Data[k])
+		}
+	}
+}
+
+// classProblem labels sparseProblem(seed, s, n, margin)'s samples for
+// TrainAll over classes classes: class 0 where the target is +1, one of
+// the others at random elsewhere. With a wide margin class 0's column
+// is separable and stops at loss 0; the others' targets are random.
+func classProblem(seed uint64, s, n int, margin float64, classes int) (*mat.Matrix, []int) {
+	p := sparseProblem(seed, s, n, margin)
+	pick := rng.New(seed + 1)
+	labels := make([]int, s)
+	for i, y := range p.Y {
+		if y < 0 {
+			labels[i] = 1 + pick.Intn(classes-1)
+		}
+	}
+	return p.X, labels
+}
+
+// TestTrainAllSpeculation: on problems whose columns stop at loss 0, run
+// out of epochs or stop at a loss change below Tol, so that some guessed
+// starts hold and others miss, TrainAll at GOMAXPROCS 1, 2 and 4 returns
+// the weights of a serial chain of TrainColumn calls on one source, bit
+// for bit, and leaves the source where the chain does. At GOMAXPROCS 1
+// no column starts from a guess; above it, on the problem whose first
+// column stops at loss 0, some guessed columns are kept and some thrown
+// away.
+func TestTrainAllSpeculation(t *testing.T) {
+	const s, n, classes = 1201, 128, 6
+	speculated := obs.Default().Counter("opt.trainall.speculated")
+	discarded := obs.Default().Counter("opt.trainall.discarded")
+	cases := []struct {
+		margin, gamma float64
+		cfg           SGDConfig
+		exits         []exit // each must be among the serial chain's
+		mustMiss      bool   // above GOMAXPROCS 1 some guesses miss and some hold
+	}{
+		{margin: 6, exits: []exit{zeroLoss, ranOut}, mustMiss: true},
+		{margin: 6, gamma: 0.05, exits: []exit{zeroLoss, ranOut}, mustMiss: true},
+		{margin: 6, cfg: SGDConfig{Tol: 1e-2}, exits: []exit{stopped}},
+	}
+	for ci, c := range cases {
+		x, labels := classProblem(uint64(51+ci), s, n, c.margin, classes)
+		rho := 0.0
+		if c.gamma > 0 {
+			rho = stats.ThetaNormBound(0.6, n, 0.9)
+		}
+		epochs := c.cfg.withDefaults().Epochs
+		want := mat.NewMatrix(n, classes)
+		serial := rng.New(7)
+		taken := map[exit]bool{}
+		for class := 0; class < classes; class++ {
+			p := Problem{X: x, Y: targets(labels, class), Gamma: c.gamma, Rho: rho}
+			start := *serial
+			col, err := TrainColumn(p, c.cfg, serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.SetCol(class, col)
+			taken[exitOf(shufflesDrawn(start, *serial, s, epochs), epochs, refMeanLoss(p, col))] = true
+		}
+		for _, e := range c.exits {
+			if !taken[e] {
+				t.Fatalf("case %d: no column %s (exits %v)", ci, e, taken)
+			}
+		}
+		serialNext := serial.Uint64()
+		atProcs(func(procs int) {
+			name := fmt.Sprintf("case %d GOMAXPROCS %d", ci, procs)
+			spec0, disc0 := speculated.Value(), discarded.Value()
+			src := rng.New(7)
+			w, err := TrainAll(x, labels, classes, c.gamma, rho, c.cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWeights(t, name, w, want)
+			if next := src.Uint64(); next != serialNext {
+				t.Fatalf("%s: source's next draw %x, serial chain's %x", name, next, serialNext)
+			}
+			spec, disc := speculated.Value()-spec0, discarded.Value()-disc0
+			t.Logf("%s: %d columns started before their predecessor was kept, %d of them thrown away", name, spec, disc)
+			switch {
+			case procs == 1 && spec != 0:
+				t.Fatalf("%s: %d columns started before their predecessor was kept", name, spec)
+			case procs > 1 && c.mustMiss && (disc == 0 || spec == disc):
+				t.Fatalf("%s: %d columns started before their predecessor was kept, %d thrown away; want some of each", name, spec, disc)
+			}
+		})
+	}
+}
+
+// TestTrainAllLeavesNoGoroutine: TrainAll waits for every goroutine it
+// starts, so the goroutine count is back to its starting value after a
+// run in which every guess holds, one in which some miss, and one that
+// fails its problem check. Run it under -race.
+func TestTrainAllLeavesNoGoroutine(t *testing.T) {
+	discarded := obs.Default().Counter("opt.trainall.discarded")
+	cases := []struct {
+		name   string
+		margin float64
+		gamma  float64
+		cfg    SGDConfig
+		misses bool // above GOMAXPROCS 1 some guesses miss
+	}{
+		{"every guess holds", 0, 0, SGDConfig{Epochs: 5}, false},
+		{"guesses miss", 6, 0, SGDConfig{}, true},
+		{"gamma out of range", 6, 2, SGDConfig{}, false},
+	}
+	atProcs(func(procs int) {
+		for _, c := range cases {
+			x, labels := classProblem(61, 1201, 128, c.margin, 6)
+			disc := discarded.Value()
+			before := runtime.NumGoroutine()
+			_, err := TrainAll(x, labels, 6, c.gamma, 0, c.cfg, rng.New(3))
+			if (err != nil) != (c.gamma > 1) {
+				t.Fatalf("%s: error %v", c.name, err)
+			}
+			if missed := discarded.Value() > disc; missed != (c.misses && procs > 1) {
+				t.Fatalf("%s at GOMAXPROCS %d: guesses thrown away %v", c.name, procs, missed)
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() != before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s at GOMAXPROCS %d: %d goroutines after TrainAll returned, %d before", c.name, procs, runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		}
+	})
 }
 
 // TestTrainColumnAllocs: TrainColumn allocates its buffers once per
@@ -384,8 +527,9 @@ var benchSink *mat.Matrix
 // BenchmarkTrainAll trains the ten 1-vs-all columns on the generated
 // digits, for GDT and for VAT at gamma 0.05, at the experiments' Quick
 // (250 x 49, 20 epochs), Default (1,200 x 196, 40 epochs) and Full
-// (4,000 x 784, 60 epochs) sizes. Training runs on one goroutine, so
-// -cpu 1 and -cpu 2 should read alike.
+// (4,000 x 784, 60 epochs) sizes. The columns train on up to GOMAXPROCS
+// goroutines, so -cpu 2 reads faster than -cpu 1 by as much as the
+// guessed starts hold.
 func BenchmarkTrainAll(b *testing.B) {
 	sizes := []struct {
 		name                    string

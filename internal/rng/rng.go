@@ -245,6 +245,15 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
+// SkipShuffle advances the source past one Shuffle of n elements without
+// permuting anything: it makes exactly Shuffle(n, swap)'s draws and
+// leaves the source where Shuffle leaves it.
+func (s *Source) SkipShuffle(n int) {
+	for i := n - 1; i > 0; i-- {
+		s.Intn(i + 1)
+	}
+}
+
 // NormVec fills dst with independent N(0, sigma^2) samples and returns it.
 // If dst is nil a new slice of length n is allocated.
 func (s *Source) NormVec(dst []float64, n int, sigma float64) []float64 {

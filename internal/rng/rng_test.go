@@ -132,6 +132,28 @@ func TestSkipNormKeepsStep(t *testing.T) {
 	}
 }
 
+// TestSkipShuffleKeepsShuffle: for every n, from five seeds, a source
+// advanced by SkipShuffle(n) is in the state of one advanced by
+// Shuffle(n, swap), several shuffles in a row, and both go on to yield
+// the same stream.
+func TestSkipShuffleKeepsShuffle(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
+		for _, n := range []int{0, 1, 2, 49, 4000} {
+			shuffled, skipped := New(seed), New(seed)
+			for k := 0; k < 3; k++ {
+				shuffled.Shuffle(n, func(i, j int) {})
+				skipped.SkipShuffle(n)
+				if *shuffled != *skipped {
+					t.Fatalf("seed %d n %d: states differ after shuffle %d", seed, n, k)
+				}
+			}
+			if a, b := shuffled.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("seed %d n %d: next draw %#x after SkipShuffle, %#x after Shuffle", seed, n, b, a)
+			}
+		}
+	}
+}
+
 // TestPixelNoiseMatchesPerCall: over 10⁵ pixels from five seeds, in
 // stretches of random length that skip some pixels and apply the noise
 // to others, with the Gaussian and the flip draws each on or off,

@@ -104,20 +104,12 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainSet, _, err := dataset.Digits(p.perClassTrain, 0, p.factor, cfg.Seed)
+	// The test set is LoadSet's: Digits draws it from a source of its
+	// own.
+	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	// Training runs on one core, and only fleetAccuracy reads the test
-	// set, so the test set renders beside training and fabrication.
-	var testSet *dataset.Set
-	var testErr error
-	testDone := make(chan struct{})
-	go func() {
-		defer close(testDone)
-		testSet, testErr = LoadSet(cfg.Scale, cfg.Seed)
-	}()
-	defer func() { <-testDone }() // no return leaves the render running
 	w, err := train.SoftwareGDT(trainSet, dataset.NumClasses,
 		opt.SGDConfig{Epochs: p.epochs}, rng.New(cfg.Seed+3))
 	if err != nil {
@@ -140,10 +132,6 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	fl, err := fleet.New(fleet.Config{}, specs)
 	if err != nil {
 		return nil, err
-	}
-	<-testDone
-	if testErr != nil {
-		return nil, testErr
 	}
 	acc, err := fleetAccuracy(fl, testSet)
 	if err != nil {

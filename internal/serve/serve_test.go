@@ -590,12 +590,11 @@ func TestServeRealFleet(t *testing.T) {
 	}
 }
 
-// TestBuildFleetWaitsForTestSet: BuildFleet renders its test set on a
-// second goroutine beside training, and no return leaves it running:
-// after a boot, and after an error from fabrication once the render has
-// started, the goroutine count is back to what it was. Run it under
-// -race -count=10.
-func TestBuildFleetWaitsForTestSet(t *testing.T) {
+// TestBuildFleetLeavesNoGoroutine: the digit render and the trainer run
+// on goroutines of their own, and no return leaves one running: after a
+// boot, and after an error from fabrication once both have run, the
+// goroutine count is back to what it was. Run it under -race -count=10.
+func TestBuildFleetLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boot, err := BuildFleet(BootConfig{Scale: "quick", Members: 1, Seed: 5})
 	if err != nil {
