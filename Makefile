@@ -21,7 +21,7 @@ race:
 	$(GO) test -race ./internal/hw/
 	$(GO) test -race ./internal/mat/
 	$(GO) test -race ./internal/opt/
-	$(GO) test -race -count=10 -timeout 30m ./internal/opt/ -run 'TestTrainAll'
+	$(GO) test -race -short -count=10 ./internal/opt/ -run 'TestTrainAll'
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
 	$(GO) test -race -count=10 ./internal/dataset/ -run 'TestSplitRenderMatchesSerial'
 	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
@@ -56,8 +56,10 @@ doccheck:
 # handler's contract and the body decoder against encoding/json), the
 # Prometheus exposition validator, checkpoint files, the -chaos mode
 # parser, the reduced-resolution digit render (against rendering at
-# full resolution, then decimating) and the digit skip (against the
-# render's draws).
+# full resolution, then decimating), the digit skip (against the
+# render's draws) and the render's two kernels, the pixel noise and a
+# stroke row's coverage (each against its scalar expression, on every
+# ISA).
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
@@ -71,6 +73,8 @@ fuzz:
 	$(GO) test ./internal/chaos/ -run '^$$' -fuzz FuzzParseMode -fuzztime 30s
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzDecimatedRender -fuzztime 30s
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzSkipDigit -fuzztime 30s
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzPixelNoise -fuzztime 30s
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzStrokeRow -fuzztime 30s
 
 experiments:
 	$(GO) run ./cmd/vortexsim -exp all -scale default

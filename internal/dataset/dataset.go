@@ -114,9 +114,10 @@ func Generate(cfg Config, n int, src *rng.Source) (*Set, error) {
 		return nil, errors.New("dataset: nil rng source")
 	}
 	set := &Set{Size: cfg.Size, Samples: make([]Sample, n)}
+	var draws noiseDraws
 	for i := range set.Samples {
 		label := src.Intn(NumClasses)
-		set.Samples[i] = Sample{Pixels: renderDigit(cfg, label, 1, src), Label: label}
+		set.Samples[i] = Sample{Pixels: renderDigit(cfg, label, 1, src, &draws), Label: label}
 	}
 	return set, nil
 }
@@ -148,9 +149,10 @@ func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, 
 	}
 	set := &Set{Size: cfg.Size / factor, Samples: make([]Sample, perClass*NumClasses)}
 	render := func(samples []Sample, first int, from *rng.Source) {
+		var draws noiseDraws
 		for i := range samples {
 			label := (first + i) / perClass
-			samples[i] = Sample{Pixels: renderDigit(cfg, label, factor, from), Label: label}
+			samples[i] = Sample{Pixels: renderDigit(cfg, label, factor, from, &draws), Label: label}
 		}
 	}
 	if half := len(set.Samples) / 2; factor == 1 && half > 0 {
@@ -179,14 +181,31 @@ func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, 
 	return set, nil
 }
 
+// noiseDraws is one goroutine's record of a digit's pixel noise draws,
+// from rng.(*Source).PixelDraws to mat.PixelNoise: each kept pixel's
+// polar pair (u, q) and whether its flip fired. It is reused from digit
+// to digit.
+type noiseDraws struct {
+	u, q    []float64
+	flipped []bool
+}
+
+// grow makes room for n pixels' draws.
+func (d *noiseDraws) grow(n int) {
+	if len(d.flipped) < n {
+		d.u, d.q, d.flipped = make([]float64, n), make([]float64, n), make([]bool, n)
+	}
+}
+
 // renderDigit rasterizes one distorted glyph and returns the pixels
 // Decimate by factor keeps of it: the centre tap of every factor x factor
 // block of the cfg.Size x cfg.Size image, which factor must divide. It
 // computes only those pixels, each from the same expression and the same
 // draws as the full render, and it draws from src exactly what the full
 // render draws, so factor 1 is the full render and any other factor is
-// its decimation, bit for bit.
-func renderDigit(cfg Config, label, factor int, src *rng.Source) []float64 {
+// its decimation, bit for bit. draws holds the noise draws between the
+// draw pass and the noise kernel.
+func renderDigit(cfg Config, label, factor int, src *rng.Source, draws *noiseDraws) []float64 {
 	n := cfg.Size
 	ns := n / factor
 	px := make([]float64, ns*ns)
@@ -232,31 +251,35 @@ func renderDigit(cfg Config, label, factor int, src *rng.Source) []float64 {
 		}
 	}
 	// Pixel noise, drawn for every pixel of the full image in row-major
-	// order. A dropped pixel only advances src past its draws. Each kept
-	// row and column has pre dropped ones before it and post after it.
+	// order, then applied to the kept pixels in one kernel call. A
+	// dropped pixel only advances src past its draws. Each kept row and
+	// column has pre dropped ones before it and post after it.
 	std, flip := cfg.NoiseStd, cfg.FlipProb
+	draws.grow(len(px))
+	u, q, flipped := draws.u[:len(px)], draws.q[:len(px)], draws.flipped[:len(px)]
 	if factor == 1 {
-		src.PixelNoise(px, 0, std, flip)
-		return px
-	}
-	pre, post := factor/2, factor-factor/2-1
-	skip := 0 // dropped pixels since the last kept one
-	for ky := 0; ky < ns; ky++ {
-		skip += pre * n
-		for kx := ky * ns; kx < (ky+1)*ns; kx++ {
-			src.PixelNoise(px[kx:kx+1], skip+pre, std, flip)
-			skip = post
+		src.PixelDraws(u, q, flipped, 0, std, flip)
+	} else {
+		pre, post := factor/2, factor-factor/2-1
+		skip := 0 // dropped pixels since the last kept one
+		for ky := 0; ky < ns; ky++ {
+			skip += pre * n
+			for kx := ky * ns; kx < (ky+1)*ns; kx++ {
+				src.PixelDraws(u[kx:kx+1], q[kx:kx+1], flipped[kx:kx+1], skip+pre, std, flip)
+				skip = post
+			}
+			skip += post * n
 		}
-		skip += post * n
+		src.PixelDraws(nil, nil, nil, skip, std, flip)
 	}
-	src.PixelNoise(nil, skip, std, flip)
+	mat.PixelNoise(px, u, q, flipped, std)
 	return px
 }
 
 // skipDigit advances src past the draws of one renderDigit(cfg, label,
-// factor, src) call, at any factor, without rendering: the transform's
-// five uniforms and the stroke width's, two per control point when
-// cfg.PointJit > 0, then every pixel's noise draws.
+// factor, src, draws) call, at any factor, without rendering: the
+// transform's five uniforms and the stroke width's, two per control
+// point when cfg.PointJit > 0, then every pixel's noise draws.
 func skipDigit(cfg Config, label int, src *rng.Source) {
 	draws := 6
 	if cfg.PointJit > 0 {
@@ -267,12 +290,13 @@ func skipDigit(cfg Config, label int, src *rng.Source) {
 	for ; draws > 0; draws-- {
 		src.Uint64()
 	}
-	src.PixelNoise(nil, cfg.Size*cfg.Size, cfg.NoiseStd, cfg.FlipProb)
+	src.PixelDraws(nil, nil, nil, cfg.Size*cfg.Size, cfg.NoiseStd, cfg.FlipProb)
 }
 
 // strokeSegment adds the soft coverage of one thick segment into px, the
 // pixels Decimate by factor keeps of an n x n image: the centres of full
-// rows and columns factor/2 + k·factor.
+// rows and columns factor/2 + k·factor. Each kept row inside the
+// segment's bounding box is one mat.StrokeRow call.
 func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft float64) {
 	minX := int(math.Floor(math.Min(x1, x2) - width - soft - 1))
 	maxX := int(math.Ceil(math.Max(x1, x2) + width + soft + 1))
@@ -293,52 +317,25 @@ func strokeSegment(px []float64, n, factor int, x1, y1, x2, y2, width, soft floa
 	if minX > off {
 		kx0 = (minX - off + factor - 1) / factor
 	}
-	ns := n / factor
 	x0 := off + kx0*factor
-	dx := x2 - x1
-	dy := y2 - y1
-	lenSq := dx*dx + dy*dy
-	far := farSq(width, soft)
-	// yi and xi walk the kept full-resolution rows and columns, i the
-	// kept pixel's index in px.
+	if x0 > maxX {
+		return
+	}
+	cols := (maxX-x0)/factor + 1
+	ns := n / factor
+	seg := mat.Stroke{X1: x1, Y1: y1, DX: x2 - x1, DY: y2 - y1, Width: width, Soft: soft, Far: farSq(width, soft)}
+	seg.LenSq = seg.DX*seg.DX + seg.DY*seg.DY
+	// yi walks the kept full-resolution rows, i0 the index in px of
+	// each row's first kept pixel.
 	for yi, i0 := off+ky0*factor, ky0*ns+kx0; yi <= maxY; yi, i0 = yi+factor, i0+ns {
-		cy := float64(yi) + 0.5
-		for xi, i := x0, i0; xi <= maxX; xi, i = xi+factor, i+1 {
-			cx := float64(xi) + 0.5
-			// Distance from the pixel center to the segment.
-			var t float64
-			if lenSq > 0 {
-				t = ((cx-x1)*dx + (cy-y1)*dy) / lenSq
-				if t < 0 {
-					t = 0
-				} else if t > 1 {
-					t = 1
-				}
-			}
-			qx := x1 + t*dx
-			qy := y1 + t*dy
-			ex, ey := cx-qx, cy-qy
-			if ex*ex+ey*ey > far {
-				continue // cov <= 0 below; see farSq
-			}
-			dist := math.Hypot(ex, ey)
-			cov := 1 - (dist-width)/soft
-			if cov <= 0 {
-				continue
-			}
-			if cov > 1 {
-				cov = 1
-			}
-			if cov > px[i] {
-				px[i] = cov
-			}
-		}
+		mat.StrokeRow(px[i0:i0+cols], seg, x0, factor, float64(yi)+0.5)
 	}
 }
 
 // farSq is the squared distance from a segment beyond which
-// strokeSegment skips a pixel without the Hypot. Such a pixel's true
-// distance exceeds (width+soft)(1+4e-7), while the rounding in the
+// strokeSegment's coverage is <= 0, the Stroke.Far that lets the
+// generic mat.StrokeRow skip a pixel without the Hypot. Such a pixel's
+// true distance exceeds (width+soft)(1+4e-7), while the rounding in the
 // squares, their sum, farSq itself, Hypot, dist-width and the division
 // comes to a few units in the last place, nine orders of magnitude
 // below that margin, so its coverage would be negative. Every pixel

@@ -109,7 +109,7 @@ func TestDigitsHaveInk(t *testing.T) {
 	cfg.FlipProb = 0
 	src := rng.New(5)
 	for label := 0; label < NumClasses; label++ {
-		px := renderDigit(cfg, label, 1, src)
+		px := renderDigit(cfg, label, 1, src, new(noiseDraws))
 		sum := 0.0
 		for _, p := range px {
 			sum += p
@@ -134,7 +134,7 @@ func TestDistinctClassesDiffer(t *testing.T) {
 		acc := make([]float64, cfg.Size*cfg.Size)
 		const reps = 20
 		for r := 0; r < reps; r++ {
-			px := renderDigit(cfg, label, 1, src)
+			px := renderDigit(cfg, label, 1, src, new(noiseDraws))
 			for i, p := range px {
 				acc[i] += p / reps
 			}
@@ -273,11 +273,11 @@ func TestDecimatedRenderMatchesFullRender(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				full, dec := rng.New(seed), rng.New(seed)
 				for label := 0; label < NumClasses; label++ {
-					want, err := Undersample(&Set{Size: cfg.Size, Samples: []Sample{{Pixels: renderDigit(cfg, label, 1, full), Label: label}}}, factor, Decimate)
+					want, err := Undersample(&Set{Size: cfg.Size, Samples: []Sample{{Pixels: renderDigit(cfg, label, 1, full, new(noiseDraws)), Label: label}}}, factor, Decimate)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := &Set{Size: cfg.Size / factor, Samples: []Sample{{Pixels: renderDigit(cfg, label, factor, dec), Label: label}}}
+					got := &Set{Size: cfg.Size / factor, Samples: []Sample{{Pixels: renderDigit(cfg, label, factor, dec, new(noiseDraws)), Label: label}}}
 					sameSet(t, fmt.Sprintf("noise %v factor %d seed %d label %d", noise, factor, seed, label), got, want)
 				}
 				if g, w := dec.Uint64(), full.Uint64(); g != w {
@@ -299,7 +299,7 @@ func TestSplitRenderMatchesSerial(t *testing.T) {
 		set := &Set{Size: cfg.Size}
 		for label := 0; label < NumClasses; label++ {
 			for k := 0; k < perClass; k++ {
-				set.Samples = append(set.Samples, Sample{Pixels: renderDigit(cfg, label, 1, src), Label: label})
+				set.Samples = append(set.Samples, Sample{Pixels: renderDigit(cfg, label, 1, src, new(noiseDraws)), Label: label})
 			}
 		}
 		src.Shuffle(len(set.Samples), func(i, j int) {

@@ -73,7 +73,7 @@ func FuzzSkipDigit(f *testing.F) {
 		}
 		l := int(label) % NumClasses
 		rendered, skipped := rng.New(seed), rng.New(seed)
-		renderDigit(cfg, l, 1, rendered)
+		renderDigit(cfg, l, 1, rendered, new(noiseDraws))
 		skipDigit(cfg, l, skipped)
 		for i := 0; i < 4; i++ {
 			if g, w := skipped.Uint64(), rendered.Uint64(); g != w {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"vortex/internal/mat"
 	"vortex/internal/rng"
 )
 
@@ -55,9 +56,31 @@ var renderPins = map[string]string{
 
 // TestRenderPinned: Digits' train and test sets at factors 1, 2 and 4,
 // and GenerateBalanced with the source's next draw, hash to the pinned
-// digests at seeds 1-3. Odd per-class counts give the factor-1 halves
+// digests at seeds 1-3, with the render kernels of every implementation
+// the machine supports. Odd per-class counts give the factor-1 halves
 // unequal label runs.
 func TestRenderPinned(t *testing.T) {
+	defer mat.SetKernelISA("auto")
+	for _, isa := range []string{"generic", "avx512"} {
+		if got := mat.SetKernelISA(isa); got != isa {
+			t.Logf("ISA %s unavailable (got %s), skipping", isa, got)
+			continue
+		}
+		got := renderDigests(t)
+		for name, want := range renderPins {
+			if got[name] != want {
+				t.Errorf("%s %s: digest %s, pinned %s", isa, name, got[name], want)
+			}
+		}
+		if len(got) != len(renderPins) {
+			t.Errorf("%s: rendered %d sets, %d pinned", isa, len(got), len(renderPins))
+		}
+	}
+}
+
+// renderDigests renders the pinned sets and returns their digests by
+// name.
+func renderDigests(t *testing.T) map[string]string {
 	got := map[string]string{}
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, factor := range []int{1, 2, 4} {
@@ -94,12 +117,5 @@ func TestRenderPinned(t *testing.T) {
 			got[fmt.Sprintf("%s seed %d", c.name, seed)] = hex.EncodeToString(h.Sum(nil))
 		}
 	}
-	for name, want := range renderPins {
-		if got[name] != want {
-			t.Errorf("%s: digest %s, pinned %s", name, got[name], want)
-		}
-	}
-	if len(got) != len(renderPins) {
-		t.Errorf("rendered %d sets, %d pinned", len(got), len(renderPins))
-	}
+	return got
 }

@@ -7,7 +7,8 @@ package mat
 // chain (separate mul and add, no FMA), so all implementations produce
 // bit-identical results and the fastest supported one is selected at
 // startup. The eight-row scorer behind ScoreRows8 follows the same
-// rule with one row per lane. Tests force specific implementations
+// rule with one row per lane, and the digit-render kernels (render.go)
+// with one pixel per lane. Tests force specific implementations
 // through SetKernelISA to assert that equivalence.
 
 // mulVecLanesFunc is the signature of one fused-kernel implementation:

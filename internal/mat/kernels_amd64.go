@@ -22,6 +22,12 @@ func mulVecLanes24AVX512(dst, data, x []float64)
 // Implemented in kernels_amd64.s.
 func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
 
+// Implemented in render_amd64.s.
+func pixelNoiseAVX512(px, u, q []float64, flipped []bool, std float64)
+
+// Implemented in render_amd64.s.
+func strokeRowAVX512(px []float64, s Stroke, x0, step int, cy float64)
+
 // Implemented in kernels_amd64.s.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -78,13 +84,16 @@ func installKernelISA(name string) {
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX512, "avx512"
 		mulVecLanes80Active, mulVecLanes24Active = mulVecLanes80AVX512, mulVecLanes24AVX512
 		scoreRows8Active = scoreRows8AVX512
+		pixelNoiseActive, strokeRowActive = pixelNoiseAVX512, strokeRowAVX512
 	case (want == "avx512" || want == "avx2") && hasAVX2:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX2, "avx2"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
 		scoreRows8Active = scoreRows8Generic
+		pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 	default:
 		mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
 		scoreRows8Active = scoreRows8Generic
+		pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 	}
 }

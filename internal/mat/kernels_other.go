@@ -7,4 +7,5 @@ package mat
 func installKernelISA(string) {
 	mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
 	scoreRows8Active = scoreRows8Generic
+	pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 }

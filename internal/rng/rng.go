@@ -10,7 +10,10 @@
 // and has well-understood statistical quality.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** generator. The zero value is not
 // a valid generator; use New or NewFromState.
@@ -105,30 +108,15 @@ func (s *Source) Intn(n int) int {
 	// Lemire's multiply-shift rejection method, unbiased.
 	un := uint64(n)
 	x := s.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(x, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			x = s.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(x, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // Norm returns a standard normally distributed sample (mean 0, stddev 1)
@@ -175,15 +163,16 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// PixelNoise makes the noise draws of a stretch of image pixels with
+// PixelDraws makes the noise draws of a stretch of image pixels with
 // the generator's state held in locals, written back once. Per pixel it
-// draws one Normal(0, std) when std > 0, then one Bernoulli(flip) when
-// flip > 0, exactly as those calls would. It first advances past skip
-// pixels, making their draws without computing the normal sample (as
-// SkipNorm, then Uint64, would). It then applies the noise to every
-// pixel v of px, in order: v += Normal(0, std); v = 1 - v when the
-// Bernoulli draw is true; then v is clamped to [0, 1].
-func (s *Source) PixelNoise(px []float64, skip int, std, flip float64) {
+// draws one Normal sample's polar pair when std > 0, then one
+// Bernoulli(flip) draw when flip > 0, exactly as Norm and Bernoulli
+// would. It first advances past skip pixels' draws, then records the
+// next len(flipped) pixels': pixel i's pair in u[i] and q[i], so that
+// its normal sample is u[i]·√(−2·ln q[i] / q[i]) (u and q are not
+// touched when std is 0), and whether its Bernoulli draw came out true
+// in flipped[i] (false when flip is 0). The pairs satisfy 0 < q < 1.
+func (s *Source) PixelDraws(u, q []float64, flipped []bool, skip int, std, flip float64) {
 	x := state{s.s[0], s.s[1], s.s[2], s.s[3]}
 	var r uint64
 	uniform := func() float64 { // Float64
@@ -208,20 +197,14 @@ func (s *Source) PixelNoise(px []float64, skip int, std, flip float64) {
 			_, x = x.next()
 		}
 	}
-	for i, v := range px {
+	if std > 0 {
+		u, q = u[:len(flipped)], q[:len(flipped)]
+	}
+	for i := range flipped {
 		if std > 0 {
-			u, q := polar()
-			v += 0 + std*(u*math.Sqrt(-2*math.Log(q)/q)) // Normal(0, std)
+			u[i], q[i] = polar()
 		}
-		if flip > 0 && uniform() < flip {
-			v = 1 - v
-		}
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		px[i] = v
+		flipped[i] = flip > 0 && uniform() < flip
 	}
 	s.s = [4]uint64{x.a, x.b, x.c, x.d}
 }

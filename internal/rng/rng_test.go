@@ -1,9 +1,12 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"vortex/internal/mat"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -157,9 +160,12 @@ func TestSkipShuffleKeepsShuffle(t *testing.T) {
 // TestPixelNoiseMatchesPerCall: over 10⁵ pixels from five seeds, in
 // stretches of random length that skip some pixels and apply the noise
 // to others, with the Gaussian and the flip draws each on or off,
-// PixelNoise leaves the source in the state the per-call SkipNorm,
-// Uint64, Normal and Bernoulli sequence leaves after every stretch, and
-// gives every applied pixel that sequence's value bit for bit.
+// PixelDraws leaves the source in the state the per-call SkipNorm,
+// Uint64, polar and Bernoulli sequence leaves after every stretch. It
+// records that sequence's polar pairs bit for bit (and leaves u and q
+// alone when std is 0) and its flip outcomes, and mat.PixelNoise over
+// the record gives every pixel the per-call Normal, Bernoulli and clamp
+// value bit for bit.
 func TestPixelNoiseMatchesPerCall(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
 		walk, calls := New(seed), New(seed)
@@ -168,12 +174,21 @@ func TestPixelNoiseMatchesPerCall(t *testing.T) {
 			std := []float64{0, 0.07, 0.3}[lens.Intn(3)]
 			flip := []float64{0, 0.002, 0.5}[lens.Intn(3)]
 			skip := lens.Intn(60)
-			px := make([]float64, lens.Intn(40))
+			n := lens.Intn(40)
+			px, u, q, flipped := make([]float64, n), make([]float64, n), make([]float64, n), make([]bool, n)
 			for i := range px {
 				px[i] = []float64{0, 1, lens.Float64(), 2*lens.Float64() - 0.5}[lens.Intn(4)]
+				u[i], q[i] = 7, 7
 			}
 			want := append([]float64(nil), px...)
-			walk.PixelNoise(px, skip, std, flip)
+			walk.PixelDraws(u, q, flipped, skip, std, flip)
+			name := fmt.Sprintf("seed %d stretch %d (skip %d, %d px, std %v, flip %v)", seed, stretch, skip, n, std, flip)
+			for i := range flipped {
+				if std == 0 && (u[i] != 7 || q[i] != 7) {
+					t.Fatalf("%s pixel %d: pair (%v, %v) written without noise", name, i, u[i], q[i])
+				}
+			}
+			mat.PixelNoise(px, u, q, flipped, std)
 			for k := 0; k < skip; k++ {
 				if std > 0 {
 					calls.SkipNorm()
@@ -184,9 +199,17 @@ func TestPixelNoiseMatchesPerCall(t *testing.T) {
 			}
 			for i, v := range want {
 				if std > 0 {
+					before := *calls
+					if pu, pq := before.polar(); math.Float64bits(pu) != math.Float64bits(u[i]) || math.Float64bits(pq) != math.Float64bits(q[i]) {
+						t.Fatalf("%s pixel %d: pair (%v, %v), per-call (%v, %v)", name, i, u[i], q[i], pu, pq)
+					}
 					v += calls.Normal(0, std)
 				}
-				if flip > 0 && calls.Bernoulli(flip) {
+				f := flip > 0 && calls.Bernoulli(flip)
+				if flipped[i] != f {
+					t.Fatalf("%s pixel %d: flipped %v, per-call %v", name, i, flipped[i], f)
+				}
+				if f {
 					v = 1 - v
 				}
 				if v < 0 {
@@ -197,14 +220,14 @@ func TestPixelNoiseMatchesPerCall(t *testing.T) {
 				want[i] = v
 			}
 			if walk.s != calls.s {
-				t.Fatalf("seed %d stretch %d (skip %d, %d px, std %v, flip %v): states differ", seed, stretch, skip, len(px), std, flip)
+				t.Fatalf("%s: states differ", name)
 			}
 			for i := range px {
 				if math.Float64bits(px[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("seed %d stretch %d pixel %d: %v, per-call %v", seed, stretch, i, px[i], want[i])
+					t.Fatalf("%s pixel %d: %v, per-call %v", name, i, px[i], want[i])
 				}
 			}
-			pixels += skip + len(px)
+			pixels += skip + n
 		}
 	}
 }
@@ -301,21 +324,33 @@ func TestNormVec(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+// TestIntnPinned pins Intn's draws from seed 1 over bounds from 1 to
+// past 2⁶², where the rejection loop runs about one draw in four, so a
+// change to the multiply-shift that moves a draw, a shuffle or a
+// sample order fails here and not only in the experiments' digests.
+func TestIntnPinned(t *testing.T) {
+	s := New(1)
+	ns := []int{1, 2, 3, 7, 10, 1000, 4000, 1 << 40, 3<<61 + 5}
+	want := []int{0, 1, 1, 2, 6, 143, 284, 419116731463, 5998552484777884624,
+		0, 1, 2, 6, 6, 599, 3562, 88462246178, 441161017705094177,
+		0, 0, 1, 2, 4, 211, 1549, 939457104478, 5196054157879742225}
+	for i, w := range want {
+		if got := s.Intn(ns[i%len(ns)]); got != w {
+			t.Fatalf("draw %d: Intn(%d) = %d, pinned %d", i, ns[i%len(ns)], got, w)
 		}
+	}
+	if got := s.Uint64(); got != 0xfb747617a7e9a1af {
+		t.Fatalf("next draw %#x, pinned 0xfb747617a7e9a1af", got)
+	}
+}
+
+// BenchmarkShuffle times one Fisher-Yates shuffle of a Full train set's
+// 4,000 positions.
+func BenchmarkShuffle(b *testing.B) {
+	s := New(1)
+	p := make([]int, 4000)
+	for i := 0; i < b.N; i++ {
+		s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"vortex/internal/dataset"
 	"vortex/internal/fleet"
 	"vortex/internal/hw"
+	"vortex/internal/mat"
 	"vortex/internal/ncs"
+	"vortex/internal/obs"
 	"vortex/internal/opt"
 	"vortex/internal/rng"
 	"vortex/internal/train"
@@ -94,7 +96,10 @@ type Boot struct {
 // BuildFleet trains one weight matrix on the scale's synthetic digit
 // benchmark, fabricates Members identically-trained arrays (distinct
 // fabrication draws) on the configured backend, programs them, and
-// assembles the routing fleet. Deterministic in (Scale, Seed).
+// assembles the routing fleet. Deterministic in (Scale, Seed). Each
+// stage records a span: serve.boot.render (both digit sets),
+// serve.boot.train, serve.boot.program (fabricating and programming the
+// members) and serve.boot.accuracy (the test set through the router).
 func BuildFleet(cfg BootConfig) (*Boot, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Members < 1 {
@@ -106,18 +111,46 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	}
 	// The test set is LoadSet's: Digits draws it from a source of its
 	// own.
+	sp := obs.StartSpan("serve.boot.render")
 	trainSet, testSet, err := dataset.Digits(p.perClassTrain, p.perClassTest, p.factor, cfg.Seed)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp = obs.StartSpan("serve.boot.train")
 	w, err := train.SoftwareGDT(trainSet, dataset.NumClasses,
 		opt.SGDConfig{Epochs: p.epochs}, rng.New(cfg.Seed+3))
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp = obs.StartSpan("serve.boot.program")
+	fl, err := programFleet(cfg, trainSet.Features(), w)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp = obs.StartSpan("serve.boot.accuracy")
+	acc, err := fleetAccuracy(fl, testSet)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &Boot{
+		Fleet:    fl,
+		Inputs:   trainSet.Features(),
+		Test:     testSet,
+		Accuracy: acc,
+	}, nil
+}
+
+// programFleet fabricates cfg.Members arrays of the given input width
+// on the configured backend, each from its own seed, programs w into
+// every one and assembles the router over them.
+func programFleet(cfg BootConfig, features int, w *mat.Matrix) (*fleet.Fleet, error) {
 	specs := make([]fleet.MemberSpec, cfg.Members)
 	for i := range specs {
-		nc := ncs.DefaultConfig(trainSet.Features(), dataset.NumClasses)
+		nc := ncs.DefaultConfig(features, dataset.NumClasses)
 		nc.Backend = cfg.Backend
 		nc.Sigma = cfg.Sigma
 		sys, err := ncs.New(nc, rng.New(cfg.Seed+uint64(100+i)))
@@ -129,20 +162,7 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 		}
 		specs[i] = fleet.MemberSpec{ID: fmt.Sprintf("m%d", i), Sys: sys, Weights: w}
 	}
-	fl, err := fleet.New(fleet.Config{}, specs)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := fleetAccuracy(fl, testSet)
-	if err != nil {
-		return nil, err
-	}
-	return &Boot{
-		Fleet:    fl,
-		Inputs:   trainSet.Features(),
-		Test:     testSet,
-		Accuracy: acc,
-	}, nil
+	return fleet.New(fleet.Config{}, specs)
 }
 
 // LoadSet returns the held-out test set a fleet booted with the same

@@ -615,6 +615,28 @@ func TestBuildFleetLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestBuildFleetRecordsBootSpans: one boot records each of its four
+// stage spans once, render, train, program and accuracy, so a slow boot
+// can be read off the span histograms.
+func TestBuildFleetRecordsBootSpans(t *testing.T) {
+	stages := []string{"render", "train", "program", "accuracy"}
+	count := func(stage string) int64 {
+		return obs.Default().Histogram("span.serve.boot." + stage).Count()
+	}
+	before := map[string]int64{}
+	for _, st := range stages {
+		before[st] = count(st)
+	}
+	if _, err := BuildFleet(BootConfig{Scale: "quick", Members: 2, Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stages {
+		if got := count(st) - before[st]; got != 1 {
+			t.Errorf("serve.boot.%s: %d spans from one boot, want 1", st, got)
+		}
+	}
+}
+
 // TestLoadSetMatchesBootTest: LoadSet renders only the test set, and it
 // is the set BuildFleet evaluated the fleet on, sample for sample and
 // bit for bit.
