@@ -57,9 +57,11 @@ doccheck:
 # Prometheus exposition validator, checkpoint files, the -chaos mode
 # parser, the reduced-resolution digit render (against rendering at
 # full resolution, then decimating), the digit skip (against the
-# render's draws) and the render's two kernels, the pixel noise and a
+# render's draws), the render's two kernels, the pixel noise and a
 # stroke row's coverage (each against its scalar expression, on every
-# ISA).
+# ISA), the SGD sweep's float32 screen (against its error bound, on
+# every ISA) and the screened column trainer (against the one-Dot-per-
+# sample reference).
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
@@ -75,6 +77,8 @@ fuzz:
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzSkipDigit -fuzztime 30s
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzPixelNoise -fuzztime 30s
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzStrokeRow -fuzztime 30s
+	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzScreenRow -fuzztime 30s
+	$(GO) test ./internal/opt/ -run '^$$' -fuzz FuzzScreenedColumn -fuzztime 30s
 
 experiments:
 	$(GO) run ./cmd/vortexsim -exp all -scale default

@@ -7,9 +7,11 @@ package mat
 // chain (separate mul and add, no FMA), so all implementations produce
 // bit-identical results and the fastest supported one is selected at
 // startup. The eight-row scorer behind ScoreRows8 follows the same
-// rule with one row per lane, and the digit-render kernels (render.go)
-// with one pixel per lane. Tests force specific implementations
-// through SetKernelISA to assert that equivalence.
+// rule with one row per lane, the digit-render kernels (render.go) with
+// one pixel per lane, and StepRow (screen.go) with one weight per lane.
+// Tests force specific implementations through SetKernelISA to assert
+// that equivalence. ScreenRow alone is bounded rather than exact: its
+// results only pick branches that its error bound proves.
 
 // mulVecLanesFunc is the signature of one fused-kernel implementation:
 // dst[k] += x[i]*data[i*l+k] for every row i, where l is the lane-block
@@ -187,8 +189,9 @@ func KernelISA() string { return kernelISAName }
 // supports — and reports the name actually installed. Requesting an ISA
 // the CPU lacks (or any name on a non-amd64 build) quietly installs the
 // best supported one instead, so callers can probe without crashing.
-// All implementations are bit-identical; this knob exists for the
-// equivalence tests and benchmarks, not for correctness.
+// All implementations are bit-identical, but for ScreenRow's, which
+// stay within its bound; this knob exists for the equivalence tests and
+// benchmarks, not for correctness.
 func SetKernelISA(name string) string {
 	installKernelISA(name)
 	return kernelISAName

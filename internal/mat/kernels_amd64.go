@@ -3,9 +3,10 @@
 package mat
 
 // SIMD feature detection and kernel selection for amd64. The assembly
-// kernels live in kernels_amd64.s; all of them vectorize across output
-// columns only, with separate VMULPD/VADDPD (never FMA), so their
-// results are bit-identical to the generic Go loop.
+// kernels live in kernels_amd64.s, render_amd64.s and screen_amd64.s.
+// All but ScreenRow's compute every output as the generic Go loop does,
+// with separate multiplies and adds (never FMA), so their results are
+// bit-identical to it; ScreenRow's is bounded, not exact (screen.go).
 
 // Implemented in kernels_amd64.s.
 func mulVecLanesAVX2(dst, data, x []float64, l int)
@@ -21,6 +22,12 @@ func mulVecLanes24AVX512(dst, data, x []float64)
 
 // Implemented in kernels_amd64.s.
 func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
+
+// Implemented in screen_amd64.s.
+func screenRowAVX512(out *Screen, data []float32, off, next int, w, prev []float64, squares bool)
+
+// Implemented in screen_amd64.s.
+func stepRowAVX512(w, x []float64, ny, coef, rate, wmax float64)
 
 // Implemented in render_amd64.s.
 func pixelNoiseAVX512(px, u, q []float64, flipped []bool, std float64)
@@ -83,17 +90,17 @@ func installKernelISA(name string) {
 	case want == "avx512" && hasAVX512:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX512, "avx512"
 		mulVecLanes80Active, mulVecLanes24Active = mulVecLanes80AVX512, mulVecLanes24AVX512
-		scoreRows8Active = scoreRows8AVX512
+		scoreRows8Active, screenRowActive, stepRowActive = scoreRows8AVX512, screenRowAVX512, stepRowAVX512
 		pixelNoiseActive, strokeRowActive = pixelNoiseAVX512, strokeRowAVX512
 	case (want == "avx512" || want == "avx2") && hasAVX2:
 		mulVecLanesActive, kernelISAName = mulVecLanesAVX2, "avx2"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
-		scoreRows8Active = scoreRows8Generic
+		scoreRows8Active, screenRowActive, stepRowActive = scoreRows8Generic, screenRowGeneric, stepRowGeneric
 		pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 	default:
 		mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
 		mulVecLanes80Active, mulVecLanes24Active = nil, nil
-		scoreRows8Active = scoreRows8Generic
+		scoreRows8Active, screenRowActive, stepRowActive = scoreRows8Generic, screenRowGeneric, stepRowGeneric
 		pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 	}
 }

@@ -6,6 +6,6 @@ package mat
 // implementation exists, whatever was asked for.
 func installKernelISA(string) {
 	mulVecLanesActive, kernelISAName = mulVecLanesGeneric, "generic"
-	scoreRows8Active = scoreRows8Generic
+	scoreRows8Active, screenRowActive, stepRowActive = scoreRows8Generic, screenRowGeneric, stepRowGeneric
 	pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 }

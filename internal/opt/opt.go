@@ -141,7 +141,9 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 	if err := validate(p, src); err != nil {
 		return nil, err
 	}
-	return trainColumn(p, cfg.withDefaults(), src, nil), nil
+	cfg = cfg.withDefaults()
+	x32 := mat.NewScreenMatrix(p.X, cfg.WMax)
+	return trainColumn(p, &x32, cfg, src, nil), nil
 }
 
 // validate returns the error TrainColumn reports for p and src, if any.
@@ -156,9 +158,17 @@ func validate(p Problem, src *rng.Source) error {
 }
 
 // trainColumn is TrainColumn on a valid problem, with cfg's defaults
-// resolved. Before each epoch it checks stop (when not nil); once stop
-// is set it returns nil, leaving src wherever training got to.
-func trainColumn(p Problem, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) []float64 {
+// resolved and x32 = mat.NewScreenMatrix(p.X, cfg.WMax), which it only
+// reads. Before each epoch it checks stop (when not nil); once stop is
+// set it returns nil, leaving src wherever training got to. It adds
+// the column's exact visits and loss terms to the opt.screen counters.
+func trainColumn(p Problem, x32 *mat.ScreenMatrix, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) []float64 {
+	blk := new(block)
+	defer func() {
+		reg := obs.Default()
+		reg.Counter("opt.screen.exact").Add(blk.exact)
+		reg.Counter("opt.screen.terms").Add(blk.terms)
+	}()
 	n := p.X.Cols
 	s := p.X.Rows
 	w := make([]float64, n)
@@ -169,7 +179,6 @@ func trainColumn(p Problem, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) [
 	rate := cfg.Rate
 	prev := make([]float64, n)  // w as the previous epoch left it
 	terms := make([]float64, s) // each sample's loss against prev
-	blk := new(block)
 	prevLoss := math.Inf(1)
 	for e := 0; e < cfg.Epochs; e++ {
 		if stop != nil && stop.Load() {
@@ -178,7 +187,7 @@ func trainColumn(p Problem, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) [
 		saved := *src
 		copy(prev, w)
 		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		sgdPass(p, order, w, prev, terms, blk, rate, cfg.WMax)
+		blk.pass(p, x32, order, w, prev, terms, rate, cfg.WMax, e > 0)
 		rate *= cfg.RateDecay
 		if e == 0 {
 			continue // prev is the zero start, whose loss nothing tests
@@ -190,9 +199,9 @@ func trainColumn(p Problem, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) [
 		}
 		if loss == 0 {
 			// Every sample met its margin under prev, so epoch e took
-			// no step (its scores against w and prev were the same
-			// chains) and its loss is 0 again, which would stop the
-			// loop here.
+			// no step (each decision is the exact chain's, and w
+			// started equal to prev) and its loss is 0 again, which
+			// would stop the loop here.
 			return w
 		}
 		prevLoss = loss
@@ -210,74 +219,122 @@ func meanLoss(terms []float64) float64 {
 	return s / float64(len(terms))
 }
 
-// block is sgdPass's scratch for one mat.ScoreRows8 call. The call goes
-// through the ISA dispatch, so its arguments escape to the heap;
-// TrainColumn allocates one block per call rather than one per pass.
+// block is one column's pass scratch: the screen of the visited row and
+// the loss terms queued for one mat.ScoreRows8 call. Both kernels go
+// through the ISA dispatch, so their arguments escape to the heap;
+// trainColumn allocates one block per column rather than one per pass.
 type block struct {
-	sc  mat.Scores8
-	off [8]int
+	scr    mat.Screen
+	sc     mat.Scores8
+	off    [8]int // the queued samples' row offsets
+	idx    [8]int // and their indices
+	queued int
+	exact  int64 // visits whose step the bound left undecided
+	terms  int64 // loss terms computed exactly
 }
 
-// sgdPass visits the samples in order and takes a projected sub-gradient
-// step on w at rate for every sample that violates its margin. It also
-// sets terms[i] to sample i's loss against prev, which it does not
-// change.
+// pass visits the samples in order and takes a projected sub-gradient
+// step on w at rate for every sample that violates its margin; with
+// withTerms it also sets terms[i] to sample i's loss against prev,
+// which it does not change.
 //
-// It scores the next eight positions per mat.ScoreRows8 call (a pass's
-// last seven one mat.Dot each) against the current w and against prev,
-// with the penalty's sums of squares when it is on, then visits them in
-// order. A step replaces w and leaves the later scores against w stale,
-// so the pass rescores from the position after it; most samples take
-// no step.
-func sgdPass(p Problem, order []int, w, prev, terms []float64, blk *block, rate, wmax float64) {
-	s := len(order)
-	n := p.X.Cols
+// Each visit first screens the sample's row from x32 against w and
+// prev (mat.ScreenRow), then trusts the screen only where the row's
+// bound proves what the exact chain would decide (DESIGN §4.1):
+//
+//   - the loss term is 0 if the bound proves the margin met under
+//     prev; otherwise the sample is queued, and the queue is scored
+//     exactly against prev, eight per mat.ScoreRows8 call;
+//   - no step if the bound proves the margin met under w;
+//   - a step if it proves the margin violated, with the VAT penalty's
+//     ‖x∘w‖₂ from the exact chain;
+//   - otherwise the exact chains decide, as in SampleLoss.
+//
+// So every decision is the exact chain's, and every value that enters
+// w or terms comes from an exact chain. A step is one mat.StepRow
+// call, the scalar update loop's arithmetic bit for bit.
+func (blk *block) pass(p Problem, x32 *mat.ScreenMatrix, order []int, w, prev, terms []float64, rate, wmax float64, withTerms bool) {
 	pen := p.Gamma > 0 && p.Rho > 0
-	sc, off := &blk.sc, &blk.off
-	for k := 0; k < s; {
-		m := 1
-		if s-k >= 8 {
-			m = 8
-			for j := range off {
-				off[j] = order[k+j] * n
+	gr := p.Gamma * p.Rho
+	// atLeast reports whether a margin m reaches the one a zero loss
+	// needs given Σ(x∘v)² = sq, hinge's 1 + pen rounded as hinge rounds
+	// it, and below whether it falls short of it. That threshold is at
+	// least 1 and non-decreasing in sq. Both are false on a NaN, which
+	// leaves the visit undecided.
+	atLeast := func(m, sq float64) bool { return m >= 1 && (!pen || m >= 1+gr*math.Sqrt(sq)) }
+	below := func(m, sq float64) bool { return m < 1 || pen && m < 1+gr*math.Sqrt(sq) }
+	scr := &blk.scr
+	for k, idx := range order {
+		next := idx
+		if k+1 < len(order) {
+			next = order[k+1]
+		}
+		mat.ScreenRow(scr, x32, idx, next, w, prev, pen)
+		ed, es := x32.Bounds(idx)
+		y := p.Y[idx]
+		if withTerms {
+			if atLeast(y*scr.DotPrev-ed, scr.SqPrev+es) {
+				terms[idx] = 0
+			} else {
+				blk.queue(p, idx, prev, terms)
 			}
-			mat.ScoreRows8(sc, p.X.Data, off, w, prev, pen)
-		} else {
-			x := p.X.Row(order[k])
-			sc.Dot[0], sc.DotPrev[0] = mat.Dot(x, w), mat.Dot(x, prev)
+		}
+		if atLeast(y*scr.Dot-ed, scr.Sq+es) {
+			continue // satisfied with slack zero: no sub-gradient
+		}
+		x := p.X.Row(idx)
+		vnorm := 0.0
+		if below(y*scr.Dot+ed, max(scr.Sq-es, 0)) {
 			if pen {
-				sc.Sq[0], sc.SqPrev[0] = sumSq(x, w), sumSq(x, prev)
+				vnorm = math.Sqrt(sumSq(x, w))
+			}
+		} else {
+			blk.exact++
+			sq := 0.0
+			if pen {
+				sq = sumSq(x, w)
+			}
+			var l float64
+			if l, vnorm = hinge(y, mat.Dot(x, w), sq, p.Gamma, p.Rho); l <= 0 {
+				continue
 			}
 		}
-		for j := 0; j < m; j++ {
-			idx := order[k]
-			k++
-			y := p.Y[idx]
-			terms[idx], _ = hinge(y, sc.DotPrev[j], sc.SqPrev[j], p.Gamma, p.Rho)
-			// Evaluate the active constraint.
-			l, vnorm := hinge(y, sc.Dot[j], sc.Sq[j], p.Gamma, p.Rho)
-			if l <= 0 {
-				continue // satisfied with slack zero: no sub-gradient
-			}
-			// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
-			x := p.X.Row(idx)
-			coef := 0.0
-			if vnorm > 1e-30 {
-				coef = p.Gamma * p.Rho / vnorm
-			}
-			for q := range w {
-				g := -y*x[q] + coef*x[q]*x[q]*w[q]
-				wq := w[q] - rate*g
-				if wq > wmax {
-					wq = wmax
-				} else if wq < -wmax {
-					wq = -wmax
-				}
-				w[q] = wq
-			}
-			break // the block's later scores against w are stale
+		// Sub-gradient step: dL/dw_q = -y*x_q + gamma*rho*x_q^2*w_q/||v||.
+		coef := 0.0
+		if vnorm > 1e-30 {
+			coef = p.Gamma * p.Rho / vnorm
 		}
+		mat.StepRow(w, x, -y, coef, rate, wmax)
 	}
+	if withTerms && blk.queued > 0 {
+		blk.score(p, prev, terms)
+	}
+}
+
+// queue adds sample idx to the loss terms to score exactly against
+// prev, scoring the queue once it holds eight.
+func (blk *block) queue(p Problem, idx int, prev, terms []float64) {
+	blk.idx[blk.queued], blk.off[blk.queued] = idx, idx*p.X.Cols
+	if blk.queued++; blk.queued == len(blk.off) {
+		blk.score(p, prev, terms)
+	}
+}
+
+// score sets the queued samples' loss terms against prev from one
+// mat.ScoreRows8 call, whose lanes are Dot's and Norm2's chains, and
+// empties the queue. A partial queue repeats its first row in the
+// unused lanes.
+func (blk *block) score(p Problem, prev, terms []float64) {
+	m := blk.queued
+	for j := m; j < len(blk.off); j++ {
+		blk.off[j] = blk.off[0]
+	}
+	mat.ScoreRows8(&blk.sc, p.X.Data, &blk.off, prev, prev, p.Gamma > 0 && p.Rho > 0)
+	for j, idx := range blk.idx[:m] {
+		terms[idx], _ = hinge(p.Y[idx], blk.sc.DotPrev[j], blk.sc.SqPrev[j], p.Gamma, p.Rho)
+	}
+	blk.terms += int64(m)
+	blk.queued = 0
 }
 
 // TrainAll trains one column per class with 1-vs-all targets and returns
@@ -312,6 +369,7 @@ func TrainAll(x *mat.Matrix, labels []int, classes int, gamma, rho float64, cfg 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	x32 := mat.NewScreenMatrix(x, cfg.WMax) // read by every column
 	workers := min(runtime.GOMAXPROCS(0), classes)
 	done := make(chan *column) // unbuffered: every started column must be received
 	truth := *src              // where the last kept column ended
@@ -337,7 +395,7 @@ func TrainAll(x *mat.Matrix, labels []int, classes int, gamma, rho float64, cfg 
 			go func() {
 				s := col.start
 				p := Problem{X: x, Y: targets(labels, col.class), Gamma: gamma, Rho: rho}
-				col.w = trainColumn(p, cfg, &s, &col.stop)
+				col.w = trainColumn(p, &x32, cfg, &s, &col.stop)
 				col.end = s
 				done <- col
 			}()

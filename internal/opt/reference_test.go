@@ -16,7 +16,7 @@ import (
 )
 
 // The reference trainer below scores one sample per mat.Dot call, in
-// visiting order. It is the oracle the blocked trainer must reproduce
+// visiting order. It is the oracle the screened trainer must reproduce
 // bit for bit: the same weights and the same RNG consumption.
 
 func refSampleLoss(w, x []float64, y, gamma, rho float64) float64 {
@@ -290,7 +290,8 @@ func TestSweepLossMatchesReference(t *testing.T) {
 				}
 				kept := append([]float64(nil), prev...)
 				terms := make([]float64, s)
-				sgdPass(p, order, w, prev, terms, new(block), 0.05, 1)
+				x32 := mat.NewScreenMatrix(p.X, 1)
+				new(block).pass(p, &x32, order, w, prev, terms, 0.05, 1, true)
 				got, want := meanLoss(terms), refMeanLoss(p, kept)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("s %d gamma %v fresh w %v: sweep loss %v, reference %v", s, gamma, fresh, got, want)
@@ -529,7 +530,9 @@ var benchSink *mat.Matrix
 // (250 x 49, 20 epochs), Default (1,200 x 196, 40 epochs) and Full
 // (4,000 x 784, 60 epochs) sizes. The columns train on up to GOMAXPROCS
 // goroutines, so -cpu 2 reads faster than -cpu 1 by as much as the
-// guessed starts hold.
+// guessed starts hold. It reports, per call, the visits whose step the
+// screen's bound left undecided (exact/op) and the loss terms computed
+// exactly (terms/op), thrown-away columns included.
 func BenchmarkTrainAll(b *testing.B) {
 	sizes := []struct {
 		name                    string
@@ -548,6 +551,7 @@ func BenchmarkTrainAll(b *testing.B) {
 		rho := stats.ThetaNormBound(0.6, x.Cols, 0.9)
 		for _, gamma := range []float64{0, 0.05} {
 			b.Run(fmt.Sprintf("%s/gamma=%v", sz.name, gamma), func(b *testing.B) {
+				exact0, terms0 := screenCounts()
 				for i := 0; i < b.N; i++ {
 					w, err := TrainAll(x, labels, dataset.NumClasses, gamma, rho, SGDConfig{Epochs: sz.epoch}, rng.New(7))
 					if err != nil {
@@ -555,6 +559,9 @@ func BenchmarkTrainAll(b *testing.B) {
 					}
 					benchSink = w
 				}
+				exact, terms := screenCounts()
+				b.ReportMetric(float64(exact-exact0)/float64(b.N), "exact/op")
+				b.ReportMetric(float64(terms-terms0)/float64(b.N), "terms/op")
 			})
 		}
 	}

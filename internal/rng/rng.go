@@ -126,11 +126,6 @@ func (s *Source) Norm() float64 {
 	return u * math.Sqrt(-2*math.Log(q)/q)
 }
 
-// SkipNorm advances the source past one Norm sample without computing
-// it: it makes exactly the draws Norm would and leaves the source where
-// Norm leaves it, but skips the log and the square root.
-func (s *Source) SkipNorm() { s.polar() }
-
 // polar is the rejection loop of the polar method: it draws points
 // uniformly from the square [-1, 1)² until one falls strictly inside the
 // unit circle, off the origin, and returns its first coordinate and its

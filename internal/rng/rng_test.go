@@ -114,27 +114,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-// TestSkipNormKeepsStep: over 10⁵ draws from several seeds, a source
-// advanced by SkipNorm is in the state of one advanced by Norm after
-// every draw, and both go on to yield the same stream.
-func TestSkipNormKeepsStep(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
-		norm, skip := New(seed), New(seed)
-		for i := 0; i < 100000; i++ {
-			norm.Norm()
-			skip.SkipNorm()
-			if norm.s != skip.s {
-				t.Fatalf("seed %d: states differ after draw %d", seed, i)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			if a, b := norm.Uint64(), skip.Uint64(); a != b {
-				t.Fatalf("seed %d: next draw %d is %#x after SkipNorm, %#x after Norm", seed, i, b, a)
-			}
-		}
-	}
-}
-
 // TestSkipShuffleKeepsShuffle: for every n, from five seeds, a source
 // advanced by SkipShuffle(n) is in the state of one advanced by
 // Shuffle(n, swap), several shuffles in a row, and both go on to yield
@@ -160,8 +139,8 @@ func TestSkipShuffleKeepsShuffle(t *testing.T) {
 // TestPixelNoiseMatchesPerCall: over 10⁵ pixels from five seeds, in
 // stretches of random length that skip some pixels and apply the noise
 // to others, with the Gaussian and the flip draws each on or off,
-// PixelDraws leaves the source in the state the per-call SkipNorm,
-// Uint64, polar and Bernoulli sequence leaves after every stretch. It
+// PixelDraws leaves the source in the state the per-call Norm, Uint64,
+// polar and Bernoulli sequence leaves after every stretch. It
 // records that sequence's polar pairs bit for bit (and leaves u and q
 // alone when std is 0) and its flip outcomes, and mat.PixelNoise over
 // the record gives every pixel the per-call Normal, Bernoulli and clamp
@@ -191,7 +170,7 @@ func TestPixelNoiseMatchesPerCall(t *testing.T) {
 			mat.PixelNoise(px, u, q, flipped, std)
 			for k := 0; k < skip; k++ {
 				if std > 0 {
-					calls.SkipNorm()
+					calls.Norm()
 				}
 				if flip > 0 {
 					calls.Uint64()
