@@ -18,7 +18,7 @@ test-short:
 
 race:
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race ./internal/hw/
+	$(GO) test -race ./internal/hw/ ./internal/xbar/
 	$(GO) test -race ./internal/mat/
 	$(GO) test -race ./internal/opt/
 	$(GO) test -race -short -count=10 ./internal/opt/ -run 'TestTrainAll'
@@ -37,7 +37,6 @@ race:
 bench:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem -benchtime=1x -timeout 7200s . 2>&1 | tee bench_output.txt
-	$(GO) test -bench=BenchmarkBackend -benchmem ./internal/hw/ 2>&1 | tee -a bench_output.txt
 
 # The repository's benchmark (BENCHMARK.json, perfbench/NOTES.md): both
 # serving workloads end to end, each run checked against its output

@@ -1,9 +1,11 @@
 // Command vortexd is the networked crossbar inference service: it
 // boots a fleet of identically-trained, individually-fabricated arrays
-// (internal/serve.BuildFleet), then serves classification requests on
-// one TCP listener speaking both HTTP/JSON and the length-prefixed
-// binary hot path, with bounded-queue backpressure and micro-batching
-// into the fleet's zero-alloc ReadBatchCtx (see DESIGN.md §14).
+// (internal/serve.BuildFleet; each member is a pair of xbar.Crossbar
+// arrays, the repository's one array model), then serves
+// classification requests on one TCP listener speaking both HTTP/JSON
+// and the length-prefixed binary hot path, with bounded-queue
+// backpressure and micro-batching into the fleet's zero-alloc
+// ReadBatchCtx (see DESIGN.md §14).
 //
 // Usage:
 //
@@ -47,7 +49,6 @@ import (
 	"time"
 
 	"vortex/internal/chaos"
-	"vortex/internal/hw"
 	"vortex/internal/obs"
 	"vortex/internal/serve"
 )
@@ -67,7 +68,6 @@ func run() int {
 		addr    = flag.String("addr", ":8372", "listen address")
 		scale   = flag.String("scale", "quick", "fleet protocol scale: quick, default or full")
 		members = flag.Int("members", 3, "arrays in the serving fleet")
-		backend = flag.String("backend", "analytic", "array backend: analytic or circuit")
 		sigma   = flag.Float64("sigma", 0.3, "lognormal fabrication variation")
 		seed    = flag.Uint64("seed", 42, "training and fabrication seed")
 
@@ -106,18 +106,11 @@ func run() int {
 	}
 	obs.SetLogger(log)
 
-	be, err := hw.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitUsage
-	}
-
 	bootStart := time.Now()
-	log.Info("booting fleet", "scale", *scale, "members", *members, "backend", be.String(), "seed", *seed)
+	log.Info("booting fleet", "scale", *scale, "members", *members, "seed", *seed)
 	boot, err := serve.BuildFleet(serve.BootConfig{
 		Scale:   *scale,
 		Members: *members,
-		Backend: be,
 		Sigma:   *sigma,
 		Seed:    *seed,
 	})

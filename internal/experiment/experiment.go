@@ -88,23 +88,9 @@ func protoFor(s Scale) protocol {
 	}
 }
 
-// fastBackend selects the array backend for a sweep arm: the analytic
-// backend replays the circuit backend's fabrication and programming
-// draws bit-for-bit when there is no wire resistance, so Monte-Carlo
-// heavy Full-scale runs route through it for speed while Quick/Default
-// runs (and every IR-drop arm) stay on the reference circuit backend.
-func fastBackend(s Scale, rwire float64) hw.Backend {
-	if s == Full && rwire == 0 {
-		return hw.Analytic
-	}
-	return hw.Circuit
-}
-
-// buildNCS assembles an evaluation NCS with the paper's defaults on the
-// given array backend.
-func buildNCS(backend hw.Backend, inputs, redundancy int, sigma, rwire float64, adcBits int, seed uint64) (*ncs.NCS, error) {
+// buildNCS assembles an evaluation NCS with the paper's defaults.
+func buildNCS(inputs, redundancy int, sigma, rwire float64, adcBits int, seed uint64) (*ncs.NCS, error) {
 	cfg := ncs.DefaultConfig(inputs, dataset.NumClasses)
-	cfg.Backend = backend
 	cfg.Sigma = sigma
 	cfg.RWire = rwire
 	cfg.Redundancy = redundancy
@@ -117,7 +103,6 @@ func buildNCS(backend hw.Backend, inputs, redundancy int, sigma, rwire float64, 
 // program the same logical weights into each through the identity row
 // map, and evaluate each on the same sample set.
 type ensembleSpec struct {
-	scale   Scale
 	inputs  int
 	sigma   float64
 	adcBits int
@@ -131,9 +116,8 @@ type ensembleSpec struct {
 // checkpointing, retries, panic isolation and partial degradation
 // behave as in every other sweep.
 func ensembleRates(ctx context.Context, spec ensembleSpec) ([]float64, []bool, error) {
-	backend := fastBackend(spec.scale, 0)
 	return parallelTrials(ctx, len(spec.seeds), func(t Trial) (float64, error) {
-		n, err := buildNCS(backend, spec.inputs, 0, spec.sigma, 0, spec.adcBits, spec.seeds[t.Index])
+		n, err := buildNCS(spec.inputs, 0, spec.sigma, 0, spec.adcBits, spec.seeds[t.Index])
 		if err != nil {
 			return 0, err
 		}

@@ -85,7 +85,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			base := seed + uint64(1000*si+97*mc)
 			runSeed := rng.New(base + 11)
 
-			n1, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n1, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +98,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			old += r1
 
-			n2, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n2, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +111,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			pv += r2
 
-			n3, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n3, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +124,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			cld += r3
 
-			n4, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n4, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -223,7 +223,6 @@ func Defects(ctx context.Context, scale Scale, seed uint64) (*DefectsResult, err
 			base := seed + uint64(500*ri+31*mc)
 			for _, useAMP := range []bool{true, false} {
 				cfg := ncs.DefaultConfig(trainSet.Features(), 10)
-				cfg.Backend = fastBackend(scale, 0)
 				cfg.Sigma = sigma
 				cfg.DefectRate = defectRate
 				cfg.Redundancy = redundancy
@@ -329,7 +328,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil
 	}
 
-	n1, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n1, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +339,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n2, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n2, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +350,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n3, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n3, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +361,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n4, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n4, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +434,6 @@ func Mappers(ctx context.Context, scale Scale, seed uint64) (*MappersResult, err
 		return nil, err
 	}
 	cfg := ncs.DefaultConfig(trainSet.Features(), 10)
-	cfg.Backend = fastBackend(scale, 0)
 	cfg.Sigma = sigma
 	cfg.Redundancy = redundancy
 	n, err := ncs.New(cfg, rng.New(seed+5))

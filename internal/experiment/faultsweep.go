@@ -113,7 +113,7 @@ func FaultSweep(ctx context.Context, scale Scale, seed uint64) (*FaultSweepResul
 		var t faultTrial
 
 		// OLD baseline.
-		n1, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), redundancy, sigma, 0, 6, base)
+		n1, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6, base)
 		if err != nil {
 			return t, err
 		}
@@ -128,7 +128,7 @@ func FaultSweep(ctx context.Context, scale Scale, seed uint64) (*FaultSweepResul
 		}
 
 		// Vortex, struck and left alone.
-		n2, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), redundancy, sigma, 0, 6, base)
+		n2, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6, base)
 		if err != nil {
 			return t, err
 		}
@@ -152,7 +152,7 @@ func FaultSweep(ctx context.Context, scale Scale, seed uint64) (*FaultSweepResul
 		// The repair arm: identical fabrication, the trained weights and
 		// mapping replayed (so no second training run), the identical
 		// fault pattern, then the repair pipeline.
-		n3, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), redundancy, sigma, 0, 6, base)
+		n3, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6, base)
 		if err != nil {
 			return t, err
 		}

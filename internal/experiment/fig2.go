@@ -9,9 +9,9 @@ import (
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
-	"vortex/internal/ncs"
 	"vortex/internal/rng"
 	"vortex/internal/stats"
+	"vortex/internal/xbar"
 )
 
 // Fig2Result holds the Monte-Carlo output-discrepancy series of paper
@@ -106,7 +106,7 @@ func Fig2(ctx context.Context, scale Scale, seed uint64) (*Fig2Result, error) {
 				Model: device.DefaultSwitchModel(),
 				Sigma: sigma,
 			}
-			xb, err := ncs.NewArray(fastBackend(scale, 0), cfg, src)
+			xb, err := xbar.New(cfg, src)
 			if err != nil {
 				return runErrs{}, err
 			}
@@ -170,7 +170,7 @@ func Fig2(ctx context.Context, scale Scale, seed uint64) (*Fig2Result, error) {
 
 // readColumn reads the single column current of a one-column array
 // through its effective read map.
-func readColumn(xb hw.Array, vin []float64) (float64, error) {
+func readColumn(xb *xbar.Crossbar, vin []float64) (float64, error) {
 	w, err := xb.EffectiveWeights()
 	if err != nil {
 		return 0, err
@@ -181,7 +181,7 @@ func readColumn(xb hw.Array, vin []float64) (float64, error) {
 // cldColumn trains one column close-loop: sense the summed current
 // through the ADC, spread the conductance correction uniformly over the
 // cells, program with pre-calculated pulses, iterate.
-func cldColumn(xb hw.Array, model device.SwitchModel, chain *adc.SenseChain, vin []float64) error {
+func cldColumn(xb *xbar.Crossbar, model device.SwitchModel, chain *adc.SenseChain, vin []float64) error {
 	cells := xb.Rows()
 	// Controller belief of each cell's conductance (dead reckoning from
 	// the known HRS reset state).

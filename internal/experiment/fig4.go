@@ -101,7 +101,7 @@ func Fig4(ctx context.Context, scale Scale, seed uint64) (*Fig4Result, error) {
 			seeds[mc] = seed + 100*uint64(mc) + 11
 		}
 		rates, completed, err := ensembleRates(ctx, ensembleSpec{
-			scale: scale, inputs: trainSet.Features(), sigma: sigma,
+			inputs: trainSet.Features(), sigma: sigma,
 			adcBits: 6, weights: w, set: testSet, seeds: seeds,
 		})
 		if err != nil {

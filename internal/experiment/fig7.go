@@ -98,7 +98,7 @@ func Fig7(ctx context.Context, scale Scale, seed uint64) (*Fig7Result, error) {
 
 		var sumBefore, sumAfter float64
 		for mc := 0; mc < p.mcRuns; mc++ {
-			n, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), redundancy, sigma, 0, 6,
+			n, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6,
 				seed+1000*uint64(mc)+23)
 			if err != nil {
 				return nil, err
@@ -168,8 +168,7 @@ func Fig7(ctx context.Context, scale Scale, seed uint64) (*Fig7Result, error) {
 // vortexTestRate is the shared Fig. 8 / Fig. 9 inner loop: run the full
 // Vortex pipeline at a fixed gamma on freshly fabricated hardware and
 // return the mean test rate over mcRuns fabrications.
-func vortexTestRate(ctx context.Context, backend hw.Backend,
-	trainSet, testSet *dataset.Set, sigma, rwire float64,
+func vortexTestRate(ctx context.Context, trainSet, testSet *dataset.Set, sigma, rwire float64,
 	redundancy, adcBits, pretestBits int, gamma float64,
 	sgd opt.SGDConfig, mcRuns int, seed uint64) (float64, error) {
 	cfg := core.DefaultVortexConfig()
@@ -184,7 +183,7 @@ func vortexTestRate(ctx context.Context, backend hw.Backend,
 	// estimates and on output sensing.
 	cfg.SigmaOverride = sigma
 	return parallelMean(ctx, mcRuns, func(mc int) (float64, error) {
-		n, err := buildNCS(backend, trainSet.Features(), redundancy, sigma, rwire, adcBits,
+		n, err := buildNCS(trainSet.Features(), redundancy, sigma, rwire, adcBits,
 			seed+1000*uint64(mc)+37)
 		if err != nil {
 			return 0, err

@@ -95,7 +95,7 @@ func Fig8(ctx context.Context, scale Scale, seed uint64) (*Fig8Result, error) {
 		}
 		rates := make([]float64, len(bits))
 		for bi, b := range bits {
-			rate, err := vortexTestRate(ctx, fastBackend(scale, 0), trainSet, testSet, sigma, 0, 0, b, b,
+			rate, err := vortexTestRate(ctx, trainSet, testSet, sigma, 0, 0, b, b,
 				gamma, p.sgd, p.mcRuns, seed+uint64(100*si+10*bi))
 			if err != nil {
 				return nil, err

@@ -106,7 +106,7 @@ func Fig9(ctx context.Context, scale Scale, seed uint64) (*Fig9Result, error) {
 		}
 		rates := make([]float64, len(reds))
 		for pi, red := range reds {
-			rate, err := vortexTestRate(ctx, fastBackend(scale, 0), trainSet, testSet, sigma, 0, red, 6, 6,
+			rate, err := vortexTestRate(ctx, trainSet, testSet, sigma, 0, red, 6, 6,
 				gamma, p.sgd, p.mcRuns, seed+uint64(17*si+pi))
 			if err != nil {
 				return nil, err
@@ -118,7 +118,7 @@ func Fig9(ctx context.Context, scale Scale, seed uint64) (*Fig9Result, error) {
 		// Baselines without redundancy, averaged over fabrications.
 		var oldSum, cldSum float64
 		for mc := 0; mc < p.mcRuns; mc++ {
-			nOLD, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed+uint64(301*si+7*mc))
+			nOLD, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed+uint64(301*si+7*mc))
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +132,7 @@ func Fig9(ctx context.Context, scale Scale, seed uint64) (*Fig9Result, error) {
 			}
 			oldSum += r
 
-			nCLD, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed+uint64(301*si+7*mc))
+			nCLD, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed+uint64(301*si+7*mc))
 			if err != nil {
 				return nil, err
 			}

@@ -141,8 +141,7 @@ func init() {
 }
 
 // FleetDrift runs the operational counterpart of the paper's frozen
-// accuracy numbers: a fleet of identically trained circuit-backend
-// arrays serves synthetic classification traffic epoch by epoch while a
+// accuracy numbers: a fleet of identically trained arrays serves synthetic classification traffic epoch by epoch while a
 // background aging loop applies retention drift and random stuck
 // conversions, a one-off burst knocks out ten percent of one array's
 // cells a third of the way in, and the health controller scans, repairs
@@ -167,8 +166,7 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 		return nil, err
 	}
 
-	// The fleet: identically trained members on the circuit backend (the
-	// only one with the hw.Ager drift capability), each with its own
+	// The fleet: identically trained members, each with its own
 	// fabrication draw. Redundancy is a quarter of the rows — generous,
 	// because the repair pipeline must absorb a ten-percent burst well
 	// enough for the victim to rejoin.
@@ -182,7 +180,7 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 	// must not hold a repaired array to a bar it never met when healthy.
 	probeBase := 1.0
 	for i := range specs {
-		n, err := buildNCS(hw.Circuit, trainSet.Features(), redundancy, sigma, 0, 6, seed+uint64(100+i))
+		n, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6, seed+uint64(100+i))
 		if err != nil {
 			return nil, err
 		}

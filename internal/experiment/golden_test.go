@@ -51,8 +51,7 @@ func TestGoldenOutputs(t *testing.T) {
 			pin(fmt.Sprintf("%s/seed=%d", r.Name, seed), r, Quick, seed)
 		}
 	}
-	// fastBackend sends every Quick run to the circuit backend, so this
-	// is the one digest that reaches a runner's analytic path; perfbench
+	// The one Full-scale digest: the 784-row ensemble sweep. perfbench
 	// pins the same run as sweep_mc.
 	soa, ok := Lookup("soasweep")
 	if !ok {

@@ -73,7 +73,6 @@ func Precision(ctx context.Context, scale Scale, seed uint64) (*PrecisionResult,
 		runOne := func(s float64) (float64, error) {
 			return parallelMean(ctx, p.mcRuns, func(mc int) (float64, error) {
 				cfg := ncs.DefaultConfig(trainSet.Features(), 10)
-				cfg.Backend = fastBackend(scale, 0)
 				cfg.Sigma = s
 				cfg.WriteLvls = lv
 				n, err := ncs.New(cfg, rng.New(seed+uint64(97*lv+13*mc)))

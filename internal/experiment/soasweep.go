@@ -119,9 +119,9 @@ func classTemplateWeights(set *dataset.Set) *mat.Matrix {
 // SoaSweep fabricates a large seeded ensemble of crossbar systems,
 // programs the same deterministic class-template weights into each, and
 // reports every system's test rate. It is the repository's benchmark
-// workload for the Monte-Carlo trial engine: no training, ideal wires
-// and, at Full scale, the analytic backend, so the ensemble phase is
-// fabrication, programming and reads only.
+// workload for the Monte-Carlo trial engine: no training and ideal
+// wires, so the ensemble phase is fabrication, programming and reads
+// only.
 func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error) {
 	start := time.Now()
 	p := protoFor(scale)
@@ -139,7 +139,7 @@ func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error)
 	setup := time.Since(start)
 	sweepStart := time.Now()
 	rates, completed, err := ensembleRates(ctx, ensembleSpec{
-		scale: scale, inputs: trainSet.Features(), sigma: sigma,
+		inputs: trainSet.Features(), sigma: sigma,
 		adcBits: 6, weights: w, set: testSet, seeds: seeds,
 	})
 	if err != nil {

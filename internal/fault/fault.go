@@ -22,14 +22,13 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"vortex/internal/adc"
 	"vortex/internal/device"
-	"vortex/internal/hw"
 	"vortex/internal/ncs"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
 // Config sets the rates of each fault class an Injector applies. The
@@ -116,7 +115,7 @@ type Injector struct {
 	// Per-device endurance draws, lazily created per array the first
 	// time ApplyWear sees it, so the wear stream stays deterministic in
 	// the order arrays are first presented.
-	endurance map[hw.Array][]float64
+	endurance map[*xbar.Crossbar][]float64
 }
 
 // NewInjector builds an injector; src seeds the per-class streams.
@@ -133,7 +132,7 @@ func NewInjector(cfg Config, src *rng.Source) (*Injector, error) {
 		lines:     src.Split(),
 		wear:      src.Split(),
 		glitch:    src.Split(),
-		endurance: make(map[hw.Array][]float64),
+		endurance: make(map[*xbar.Crossbar][]float64),
 	}, nil
 }
 
@@ -167,19 +166,15 @@ func (in *Injector) Inject(n *ncs.NCS) (Report, error) {
 		return Report{}, errors.New("fault: nil NCS")
 	}
 	var rep Report
-	for _, x := range []hw.Array{n.Pos, n.Neg} {
-		da, ok := x.(hw.DefectAccessor)
-		if !ok {
-			return rep, fmt.Errorf("fault: backend %T does not expose per-cell defects", x)
-		}
-		rep.Add(in.injectArray(x, da))
+	for _, x := range []*xbar.Crossbar{n.Pos, n.Neg} {
+		rep.Add(in.injectArray(x))
 	}
 	n.Invalidate()
 	return rep, nil
 }
 
 // injectArray applies stuck conversions and line opens to one array.
-func (in *Injector) injectArray(x hw.Array, da hw.DefectAccessor) Report {
+func (in *Injector) injectArray(x *xbar.Crossbar) Report {
 	var rep Report
 	rows, cols := x.Rows(), x.Cols()
 	if in.cfg.StuckRate > 0 {
@@ -188,13 +183,13 @@ func (in *Injector) injectArray(x hw.Array, da hw.DefectAccessor) Report {
 				if !in.stuck.Bernoulli(in.cfg.StuckRate) {
 					continue
 				}
-				if da.Defect(i, j) != device.DefectNone {
+				if x.Defect(i, j) != device.DefectNone {
 					continue
 				}
 				if in.stuck.Bernoulli(in.cfg.StuckLRSFrac) {
-					da.SetDefect(i, j, device.DefectStuckLRS)
+					x.SetDefect(i, j, device.DefectStuckLRS)
 				} else {
-					da.SetDefect(i, j, device.DefectStuckHRS)
+					x.SetDefect(i, j, device.DefectStuckHRS)
 				}
 				rep.Stuck++
 			}
@@ -204,13 +199,13 @@ func (in *Injector) injectArray(x hw.Array, da hw.DefectAccessor) Report {
 		for i := 0; i < rows; i++ {
 			if in.lines.Bernoulli(in.cfg.LineOpenRate) {
 				rep.LineOpens++
-				rep.OpenCells += openLine(x, da, i, -1)
+				rep.OpenCells += openLine(x, i, -1)
 			}
 		}
 		for j := 0; j < cols; j++ {
 			if in.lines.Bernoulli(in.cfg.LineOpenRate) {
 				rep.LineOpens++
-				rep.OpenCells += openLine(x, da, -1, j)
+				rep.OpenCells += openLine(x, -1, j)
 			}
 		}
 	}
@@ -219,15 +214,15 @@ func (in *Injector) injectArray(x hw.Array, da hw.DefectAccessor) Report {
 
 // openLine marks every healthy cell on row i (col == -1) or column j
 // (row == -1) as open and returns the number of cells newly killed.
-func openLine(x hw.Array, da hw.DefectAccessor, i, j int) int {
+func openLine(x *xbar.Crossbar, i, j int) int {
 	killed := 0
 	mark := func(r, c int) {
-		d := da.Defect(r, c)
+		d := x.Defect(r, c)
 		if d == device.DefectNone {
 			killed++
 		}
 		if d != device.DefectOpen {
-			da.SetDefect(r, c, device.DefectOpen)
+			x.SetDefect(r, c, device.DefectOpen)
 		}
 	}
 	if j < 0 {
@@ -257,16 +252,12 @@ func (in *Injector) ApplyWear(n *ncs.NCS) (Report, error) {
 	}
 	model := n.Config().Model
 	center := (model.XMin() + model.XMax()) / 2
-	for _, x := range []hw.Array{n.Pos, n.Neg} {
-		ca, ok := x.(hw.CellAccessor)
-		if !ok {
-			return rep, fmt.Errorf("fault: backend %T does not track write-cycle wear", x)
-		}
+	for _, x := range []*xbar.Crossbar{n.Pos, n.Neg} {
 		end := in.enduranceFor(x)
 		rows, cols := x.Rows(), x.Cols()
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				cell := ca.Cell(i, j)
+				cell := x.Cell(i, j)
 				if cell.Defect != device.DefectNone {
 					continue
 				}
@@ -295,7 +286,7 @@ func (in *Injector) ApplyWear(n *ncs.NCS) (Report, error) {
 
 // enduranceFor returns (drawing on first use) the per-device endurance
 // limits of an array.
-func (in *Injector) enduranceFor(x hw.Array) []float64 {
+func (in *Injector) enduranceFor(x *xbar.Crossbar) []float64 {
 	if e, ok := in.endurance[x]; ok {
 		return e
 	}

@@ -8,6 +8,7 @@ import (
 	"vortex/internal/hw"
 	"vortex/internal/ncs"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
 // newNCS fabricates a test system: ideal sensing, no fabrication
@@ -54,10 +55,10 @@ func TestConfigValidate(t *testing.T) {
 
 func defectSnapshot(n *ncs.NCS) []device.DefectKind {
 	var s []device.DefectKind
-	for _, x := range []hw.Array{n.Pos, n.Neg} {
+	for _, x := range []*xbar.Crossbar{n.Pos, n.Neg} {
 		for i := 0; i < x.Rows(); i++ {
 			for j := 0; j < x.Cols(); j++ {
-				s = append(s, x.(hw.CellAccessor).Cell(i, j).Defect)
+				s = append(s, x.Cell(i, j).Defect)
 			}
 		}
 	}
@@ -164,10 +165,10 @@ func TestApplyWearCollapsesCycledDevices(t *testing.T) {
 	}
 	// Hammer every device far past its endurance draw (~5 cycles +/- 5%).
 	cells := 0
-	for _, x := range []hw.Array{n.Pos, n.Neg} {
+	for _, x := range []*xbar.Crossbar{n.Pos, n.Neg} {
 		for i := 0; i < x.Rows(); i++ {
 			for j := 0; j < x.Cols(); j++ {
-				x.(hw.CellAccessor).Cell(i, j).Cycles = 100
+				x.Cell(i, j).Cycles = 100
 				cells++
 			}
 		}
@@ -200,7 +201,7 @@ func TestApplyWearPartialNarrowsWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Pos.(hw.CellAccessor).Cell(0, 0).Cycles = 60 // wear ~0.6: narrowed, not collapsed
+	n.Pos.Cell(0, 0).Cycles = 60 // wear ~0.6: narrowed, not collapsed
 	rep, err := in.ApplyWear(n)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestApplyWearPartialNarrowsWindow(t *testing.T) {
 	if rep.WornOut != 0 {
 		t.Fatalf("partial wear collapsed a device: %+v", rep)
 	}
-	cell := n.Pos.(hw.CellAccessor).Cell(0, 0)
+	cell := n.Pos.Cell(0, 0)
 	if cell.Wear < 0.5 || cell.Wear > 0.7 {
 		t.Fatalf("wear %v, want ~0.6", cell.Wear)
 	}
@@ -262,7 +263,7 @@ func TestScanClassifiesWornAsSuspect(t *testing.T) {
 	n := newNCS(t, 4, 3, 0, 0.3, 51)
 	// Wear 0.8 leaves ~20% of the log window: the cell still moves, but
 	// covers well under 60% of the commanded decade.
-	n.Pos.(hw.CellAccessor).Cell(1, 2).Wear = 0.8
+	n.Pos.Cell(1, 2).Wear = 0.8
 	m, err := Scan(context.Background(), n, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)

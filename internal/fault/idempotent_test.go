@@ -6,9 +6,10 @@ import (
 
 	"vortex/internal/device"
 	"vortex/internal/hw"
+	"vortex/internal/xbar"
 )
 
-func totalPulses(arrays ...hw.Array) int {
+func totalPulses(arrays ...*xbar.Crossbar) int {
 	p := 0
 	for _, x := range arrays {
 		p += x.Stats().Pulses
@@ -28,8 +29,8 @@ func TestRepairSecondPassIsNoOp(t *testing.T) {
 	if _, err := n.ProgramWeightsVerify(w, vopts); err != nil {
 		t.Fatal(err)
 	}
-	n.Pos.(hw.CellAccessor).Cell(1, 0).Defect = device.DefectStuckLRS
-	n.Neg.(hw.CellAccessor).Cell(3, 2).Defect = device.DefectStuckHRS
+	n.Pos.Cell(1, 0).Defect = device.DefectStuckLRS
+	n.Neg.Cell(3, 2).Defect = device.DefectStuckHRS
 	n.Invalidate()
 
 	pol := Policy{Verify: vopts}
@@ -73,7 +74,7 @@ func TestRepairSecondPassIsNoOp(t *testing.T) {
 	}
 
 	// New damage after the no-op pass re-arms the pipeline.
-	n.Pos.(hw.CellAccessor).Cell(4, 1).Defect = device.DefectStuckLRS
+	n.Pos.Cell(4, 1).Defect = device.DefectStuckLRS
 	n.Invalidate()
 	out3, err := Repair(context.Background(), n, w, pol)
 	if err != nil {

@@ -48,9 +48,9 @@ func TestRepairRecoversFromStuckCells(t *testing.T) {
 	healthyErr := decodeError(n, w)
 
 	// Kill cells on two mapped physical rows (identity map covers 0..5).
-	n.Pos.(hw.CellAccessor).Cell(0, 1).Defect = device.DefectStuckLRS
-	n.Neg.(hw.CellAccessor).Cell(2, 0).Defect = device.DefectStuckHRS
-	n.Pos.(hw.CellAccessor).Cell(2, 2).Defect = device.DefectStuckLRS
+	n.Pos.Cell(0, 1).Defect = device.DefectStuckLRS
+	n.Neg.Cell(2, 0).Defect = device.DefectStuckHRS
+	n.Pos.Cell(2, 2).Defect = device.DefectStuckLRS
 	n.Invalidate()
 	faultedErr := decodeError(n, w)
 	if faultedErr < 2*healthyErr {
@@ -87,7 +87,7 @@ func TestRepairGivesUpWhenOverwhelmed(t *testing.T) {
 	n := newNCS(t, 4, 2, 1, 0.2, 91)
 	w := randWeights(t, 4, 2, 92)
 	before := n.RowMap()
-	n.Pos.(hw.CellAccessor).Cell(1, 0).Defect = device.DefectStuckLRS
+	n.Pos.Cell(1, 0).Defect = device.DefectStuckLRS
 	n.Invalidate()
 	out, err := Repair(context.Background(), n, w, Policy{
 		Verify:          hw.VerifyOptions{TolLog: 0.01, MaxIter: 6},
@@ -116,7 +116,7 @@ func TestRepairReportsPersistentFailures(t *testing.T) {
 	// with the failure count — not claim success.
 	n := newNCS(t, 4, 2, 0, 0.2, 101)
 	w := randWeights(t, 4, 2, 102)
-	n.Pos.(hw.CellAccessor).Cell(2, 1).Defect = device.DefectStuckLRS
+	n.Pos.Cell(2, 1).Defect = device.DefectStuckLRS
 	n.Invalidate()
 	out, err := Repair(context.Background(), n, w, Policy{Verify: hw.VerifyOptions{TolLog: 0.01, MaxIter: 6}})
 	if err != nil {

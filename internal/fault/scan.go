@@ -6,10 +6,10 @@ import (
 	"math"
 
 	"vortex/internal/adc"
-	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/ncs"
 	"vortex/internal/obs"
+	"vortex/internal/xbar"
 )
 
 // CellHealth classifies one cell after a health scan.
@@ -173,7 +173,7 @@ func Scan(ctx context.Context, n *ncs.NCS, opts ScanOptions) (*Map, error) {
 	m := &Map{Rows: n.PhysRows(), Cols: n.Config().Outputs}
 	expected := math.Log(opts.TargetHi / opts.TargetLo)
 	codec := n.Codec()
-	scanArray := func(x hw.Array) ([]CellHealth, []float64, *mat.Matrix, error) {
+	scanArray := func(x *xbar.Crossbar) ([]CellHealth, []float64, *mat.Matrix, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}

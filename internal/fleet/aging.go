@@ -19,8 +19,7 @@ import (
 // retention-drift model, and the per-step fault shock (stuck
 // conversions, line opens, endurance wear).
 type AgingConfig struct {
-	// Drift, when non-nil, initializes retention drift on every member
-	// (requires a backend with the hw.Ager capability, i.e. circuit).
+	// Drift, when non-nil, initializes retention drift on every member.
 	Drift *device.DriftModel
 	// TimeStep is the simulated seconds each Step advances the arrays'
 	// device clocks. Default 1.
@@ -30,7 +29,7 @@ type AgingConfig struct {
 	TimeGrowth float64
 	// Shock is the fault mix injected on every step: StuckRate and
 	// LineOpenRate are per-step probabilities, Endurance enables
-	// write-cycle wear (circuit backend only).
+	// write-cycle wear.
 	Shock fault.Config
 	// Seed drives the per-member injector streams; each member ages on
 	// its own deterministic stream.

@@ -6,9 +6,9 @@ import (
 
 	"vortex/internal/device"
 	"vortex/internal/fault"
-	"vortex/internal/hw"
 	"vortex/internal/ncs"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
 func tickUntil(t *testing.T, c *Controller, max int, done func() bool) {
@@ -26,7 +26,7 @@ func tickUntil(t *testing.T, c *Controller, max int, done func() bool) {
 
 func killCells(n *ncs.NCS, cells ...[2]int) {
 	for _, c := range cells {
-		n.Pos.(hw.DefectAccessor).SetDefect(c[0], c[1], device.DefectStuckLRS)
+		n.Pos.SetDefect(c[0], c[1], device.DefectStuckLRS)
 	}
 	n.Invalidate()
 }
@@ -131,11 +131,10 @@ func TestControllerBoundsConcurrentRepairsAndRejoinsHalfOpen(t *testing.T) {
 // massacre kills every cell on the first `rows` physical rows of both
 // arrays — damage far past the repair give-up threshold.
 func massacre(n *ncs.NCS, rows int) {
-	for _, x := range []hw.Array{n.Pos, n.Neg} {
-		da := x.(hw.DefectAccessor)
+	for _, x := range []*xbar.Crossbar{n.Pos, n.Neg} {
 		for i := 0; i < rows; i++ {
 			for j := 0; j < x.Cols(); j++ {
-				da.SetDefect(i, j, device.DefectStuckHRS)
+				x.SetDefect(i, j, device.DefectStuckHRS)
 			}
 		}
 	}
@@ -223,14 +222,6 @@ func TestAgingStepInjectsDeterministically(t *testing.T) {
 	}
 }
 
-func TestAgingDriftRequiresCircuitBackend(t *testing.T) {
-	f, _, _ := testFleet(t, 1, Config{}) // analytic members
-	drift := device.DefaultDriftModel()
-	if _, err := NewAging(f, AgingConfig{Drift: &drift}); err == nil {
-		t.Fatal("drift on the analytic backend accepted")
-	}
-}
-
 func TestAgingBurstTargetsOneMember(t *testing.T) {
 	f, _, _ := testFleet(t, 2, Config{})
 	rep, err := a2Burst(f)
@@ -262,12 +253,12 @@ func a2Burst(f *Fleet) (fault.Report, error) {
 }
 
 // TestAgingDriftOnCircuitFleet exercises the full drift path on a small
-// circuit-backend fleet: device clocks advance and reads keep working.
+// fleet: device clocks advance and reads keep working.
 func TestAgingDriftOnCircuitFleet(t *testing.T) {
 	set := testSet(t, 6, 21)
 	w := testWeights(t, set)
 	cfg := ncs.DefaultConfig(tFeatures, tClasses)
-	cfg.ADCBits = 0 // circuit backend (default), ideal sensing
+	cfg.ADCBits = 0 // ideal sensing
 	cfg.Redundancy = 2
 	specs := make([]MemberSpec, 2)
 	for i := range specs {

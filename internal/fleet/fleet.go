@@ -14,8 +14,8 @@
 // always be answered by the least-bad array (flagged degraded) instead
 // of not at all, until every array has been retired.
 //
-// Concurrency model: an hw.Array (and the ncs.NCS wrapping a pair of
-// them) is not safe for concurrent use, so every member serializes all
+// Concurrency model: an xbar.Crossbar (and the ncs.NCS wrapping a pair
+// of them) is not safe for concurrent use, so every member serializes all
 // hardware access — reads, scans, repairs, aging — behind one mutex.
 // Member state and health are atomics, so the router can skip members
 // that are mid-repair without blocking on their locks. See DESIGN.md
@@ -93,8 +93,8 @@ type Member struct {
 	served atomic.Int64 // requests answered by this member
 	errs   atomic.Int64 // requests that errored on this member
 
-	// Per-array obs series, namespaced hw.<backend>.<id>.* so members
-	// do not collide with each other or the per-backend aggregates.
+	// Per-array obs series, namespaced hw.circuit.<id>.* so members do
+	// not collide with each other.
 	gState, gHealth  *obs.Gauge
 	cServed, cErrors *obs.Counter
 }
@@ -190,8 +190,7 @@ func New(cfg Config, specs []MemberSpec) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: missing or duplicate member id %q", sp.ID)
 		}
 		seen[sp.ID] = true
-		backend := sp.Sys.Config().Backend.String()
-		prefix := hw.ArrayPrefix(backend, sp.ID)
+		prefix := hw.ArrayPrefix(sp.ID)
 		m := &Member{
 			id:      sp.ID,
 			sys:     sp.Sys,

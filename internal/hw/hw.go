@@ -1,23 +1,12 @@
-// Package hw is the hardware-abstraction layer between the device/array
-// substrate and everything above it (ncs, train, core, fault,
-// experiment). It owns the vocabulary every crossbar backend shares —
-// array configuration, programming pulses and options, verify options
-// and reports, programming-cost counters — and defines the Array
-// interface the rest of the stack programs against.
+// Package hw is the hardware vocabulary shared by the crossbar
+// (internal/xbar) and everything above it (ncs, train, core, fault,
+// experiment): array configuration, programming pulses and options,
+// verify options and reports, programming-cost counters, and the
+// metrics bundle every crossbar records into.
 //
-// Two backends implement Array today:
-//
-//   - the circuit backend (xbar.Crossbar): per-cell device objects with
-//     the full switching model, IR-drop parasitic network, half-select
-//     disturb, retention drift and endurance wear — the reference
-//     physics;
-//   - the analytic backend (AnalyticArray, this package): pure
-//     conductance-matrix math with lognormal variation applied as a
-//     static per-cell factor. No per-cell device objects, no parasitic
-//     network. Exactly equivalent to the circuit backend when RWire = 0
-//     (see the differential tests).
-//
-// ncs.NewArray fabricates either one by Backend kind.
+// The one array model is xbar.Crossbar: per-cell device objects with
+// the full switching model, the IR-drop parasitic network, half-select
+// disturb, retention drift and endurance wear.
 package hw
 
 import (
@@ -26,11 +15,9 @@ import (
 
 	"vortex/internal/adc"
 	"vortex/internal/device"
-	"vortex/internal/mat"
-	"vortex/internal/rng"
 )
 
-// Config describes a crossbar array instance, for any backend.
+// Config describes a crossbar array instance.
 type Config struct {
 	Rows, Cols int
 	Model      device.SwitchModel
@@ -74,7 +61,7 @@ type ProgramOptions struct {
 	// IR-drop (the compensation technique of paper reference [10], which
 	// OLD and Vortex use). Without it the raw pulse is applied at the
 	// degraded voltage — the CLD situation, where Eq. (2)'s beta and D
-	// effects emerge. Backends without a parasitic network ignore it.
+	// effects emerge. It has no effect when RWire = 0.
 	CompensateIR bool
 }
 
@@ -195,109 +182,22 @@ func (s *ProgramStats) Add(other ProgramStats) {
 	s.HalfSelect += other.HalfSelect
 }
 
-// Array is the substrate boundary: one crossbar array of memristive
-// cells, whatever simulates it underneath. Everything above the device
-// layer (ncs, train, core, fault, experiment) programs against this
-// interface; ncs.NewArray selects the concrete backend by Backend kind
-// at fabrication.
+// Backend once selected between two array simulation backends.
 //
-// An Array is not safe for concurrent use; Monte-Carlo loops give each
-// trial its own instance.
-type Array interface {
-	// Rows returns the number of word lines.
-	Rows() int
-	// Cols returns the number of bit lines.
-	Cols() int
-	// EffectiveWeights returns the exact linear read map of the current
-	// array state: row voltages v sense column currents y = v·W for the
-	// returned W. For an ideal-wire array it is the conductance matrix
-	// itself. Every read in the stack goes through it. Callers own the
-	// returned matrix.
-	EffectiveWeights() (*mat.Matrix, error)
-	// Conductances returns a snapshot of the observable conductance
-	// matrix (including parametric variation and defects). Callers own
-	// the returned matrix.
-	Conductances() *mat.Matrix
-	// ProgramBatch applies a batch of cell pulses under the V/2 scheme.
-	ProgramBatch(pulses []CellPulse, opts ProgramOptions) error
-	// ProgramTargets programs the whole array to the target resistance
-	// matrix (in ohms) with one open-loop pulse per cell.
-	ProgramTargets(targets *mat.Matrix, opts ProgramOptions) error
-	// ProgramVerify programs the array with a per-cell
-	// program-and-verify loop that measures and cancels each device's
-	// offset up to the verify tolerance.
-	ProgramVerify(targets *mat.Matrix, opts VerifyOptions) (VerifyReport, error)
-	// Pretest implements AMP pre-testing (paper Sec. 4.2.1): program
-	// every cell to the target against an HRS background, sense it
-	// senses times through the chain, restore it, and report the
-	// estimated per-cell variation factor e^theta.
-	Pretest(target float64, senses int, chain *adc.SenseChain) (*mat.Matrix, error)
-	// ResetAll drives every healthy cell back to HRS instantly.
-	ResetAll()
-	// Stats returns the accumulated programming cost since fabrication
-	// or the last ResetStats.
-	Stats() ProgramStats
-	// ResetStats clears the cost counters.
-	ResetStats()
-}
-
-// Ager is the optional retention-drift capability: backends that model
-// per-cell drift exponents and an array clock implement it. Callers
-// type-assert and surface a descriptive error when the backend cannot
-// age.
-type Ager interface {
-	InitDrift(model device.DriftModel, src *rng.Source) error
-	AgeTo(t float64) error
-	Age() float64
-}
-
-// DefectAccessor is the optional per-cell defect capability fault
-// injection needs: read and convert individual cells to stuck/open
-// states. Both built-in backends implement it.
-type DefectAccessor interface {
-	Defect(i, j int) device.DefectKind
-	SetDefect(i, j int, k device.DefectKind)
-}
-
-// CellAccessor exposes the underlying per-cell device objects. Only
-// backends that actually simulate per-cell devices (the circuit
-// backend) implement it; wear modeling and white-box tests need it.
-type CellAccessor interface {
-	Cell(i, j int) *device.Memristor
-}
-
-// Backend identifies an Array implementation.
+// Deprecated: xbar.Crossbar is the only array model and nothing reads a
+// Backend. The type and its constants stay only because
+// perfbench/serve.go:59 and perfbench/layers.go:224 still set
+// hw.Analytic; they go once those two lines do.
 type Backend int
 
 const (
-	// Circuit is the reference physics backend (xbar.Crossbar):
-	// per-cell devices, IR-drop network, disturb, drift, wear.
+	// Circuit is the zero Backend.
+	//
+	// Deprecated: see Backend.
 	Circuit Backend = iota
-	// Analytic is the fast conductance-matrix backend (AnalyticArray):
-	// exact for RWire = 0, no parasitic or per-cell device machinery.
+	// Analytic is a no-op: it builds the same xbar.Crossbar as Circuit.
+	//
+	// Deprecated: see Backend; set by perfbench/serve.go:59 and
+	// perfbench/layers.go:224.
 	Analytic
 )
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case Circuit:
-		return "circuit"
-	case Analytic:
-		return "analytic"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend is the inverse of String.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "circuit", "":
-		return Circuit, nil
-	case "analytic":
-		return Analytic, nil
-	default:
-		return 0, fmt.Errorf("hw: unknown backend %q (want circuit or analytic)", s)
-	}
-}

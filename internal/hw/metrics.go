@@ -7,16 +7,14 @@ import (
 	"vortex/internal/obs"
 )
 
-// Metrics is the per-backend instrumentation bundle the hardware layer
-// records into: operation counters (programming pulses/batches, verify
+// Metrics is the instrumentation bundle every crossbar records into:
+// operation counters (programming pulses and batches, verify cells and
 // correction rounds) plus per-op latency histograms, all named
-// "hw.<backend>.<metric>" in the process-default obs registry. Every
-// array of a given backend shares one bundle, so a Monte-Carlo sweep's
-// thousands of short-lived arrays aggregate into a handful of series —
-// which is exactly the circuit-vs-analytic comparison the snapshot is
-// for.
+// "hw.circuit.<metric>" in the process-default obs registry. Every array
+// shares the one bundle, so a Monte-Carlo sweep's thousands of
+// short-lived arrays aggregate into a handful of series.
 //
-// Counters and histograms are atomic; bundles are safe to share across
+// Counters and histograms are atomic; the bundle is safe to share across
 // the parallel trial workers. All methods are nil-receiver safe.
 type Metrics struct {
 	pulses      *obs.Counter
@@ -27,21 +25,18 @@ type Metrics struct {
 	verifyNS    *obs.Histogram
 }
 
-var (
-	metricsMu sync.Mutex
-	metricsBy = map[string]*Metrics{}
-)
+// prefix is the namespace of every hardware series, named for the
+// crossbar's full circuit model; perfbench and dashboards read these
+// names.
+const prefix = "hw.circuit."
 
-// MetricsFor returns the shared metrics bundle for a backend name
-// ("circuit", "analytic", ...), creating it on first use.
-func MetricsFor(backend string) *Metrics {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if m, ok := metricsBy[backend]; ok {
-		return m
-	}
-	reg, prefix := obs.Default(), "hw."+backend+"."
-	m := &Metrics{
+// CrossbarMetrics returns the bundle every crossbar shares, registering its
+// series in the process-default obs registry on first use.
+func CrossbarMetrics() *Metrics { return crossbarMetrics() }
+
+var crossbarMetrics = sync.OnceValue(func() *Metrics {
+	reg := obs.Default()
+	return &Metrics{
 		pulses:      reg.Counter(prefix + "pulses"),
 		batches:     reg.Counter(prefix + "batches"),
 		programNS:   reg.Histogram(prefix + "program_ns"),
@@ -49,17 +44,14 @@ func MetricsFor(backend string) *Metrics {
 		verifyIters: reg.Counter(prefix + "verify.iters"),
 		verifyNS:    reg.Histogram(prefix + "verify_ns"),
 	}
-	metricsBy[backend] = m
-	return m
-}
+})
 
-// ArrayPrefix is the obs metric namespace of one identified array on a
-// backend: "hw.<backend>.<array-id>.". Layers that track many long-lived
-// arrays at once (the fleet) derive their per-array series names from it
-// so they cannot collide with the per-backend aggregates or with each
-// other.
-func ArrayPrefix(backend, arrayID string) string {
-	return "hw." + backend + "." + arrayID + "."
+// ArrayPrefix is the obs metric namespace of one identified array:
+// "hw.circuit.<array-id>.". Layers that track many long-lived arrays at
+// once (the fleet) derive their per-array series names from it so they
+// cannot collide with each other.
+func ArrayPrefix(arrayID string) string {
+	return prefix + arrayID + "."
 }
 
 // Start opens a latency measurement for the matching Observe*. A nil

@@ -11,12 +11,12 @@ import "vortex/internal/mat"
 // A Network lazily creates one workspace on first use and keeps it for
 // its lifetime, so repeated Solve/Read/EffectiveWeights calls on the
 // same network are allocation-free in steady state. Callers that refresh
-// the network's conductance matrix in place (the circuit backend does,
+// the network's conductance matrix in place (xbar.Crossbar does,
 // between programming passes) additionally get warm starts: the next
 // Solve begins from the previous converged node voltages.
 //
 // A workspace belongs to one network at a time and is not safe for
-// concurrent use, matching the hw.Array contract.
+// concurrent use, matching the xbar.Crossbar contract.
 type workspace struct {
 	rows, cols int
 

@@ -1,7 +1,6 @@
 package ncs
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -87,9 +86,8 @@ func checkFusedScores(t *testing.T, label string, n *NCS, src *rng.Source) {
 	}
 }
 
-// TestFusedReadMatchesTwoReads pins the fused differential read: on both
-// backends, with variation, defects, spare rows and a non-identity row
-// map, every score is bit-identical to reading the two arrays
+// TestFusedReadMatchesTwoReads pins the fused differential read: with
+// variation, defects, spare rows and a non-identity row map, every score is bit-identical to reading the two arrays
 // separately — on every kernel implementation, and again after
 // ProgramWeights and after direct programming plus Invalidate, which
 // must refill the cached block in place. (Wire resistance is left at
@@ -104,60 +102,55 @@ func TestFusedReadMatchesTwoReads(t *testing.T) {
 			t.Logf("ISA %s unavailable (got %s), skipping", isa, got)
 			continue
 		}
-		for _, backend := range []hw.Backend{hw.Analytic, hw.Circuit} {
-			label := fmt.Sprintf("%s/%v", isa, backend)
-			cfg := DefaultConfig(inputs, outputs)
-			cfg.Backend = backend
-			cfg.Redundancy = spare
-			cfg.Sigma = 0.4
-			cfg.DefectRate = 0.02
-			n, err := New(cfg, rng.New(17))
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := rng.New(23)
-			perm := src.Perm(inputs + spare)
-			if err := n.SetRowMap(perm[:inputs]); err != nil {
-				t.Fatal(err)
-			}
-			w := mat.NewMatrix(inputs, outputs)
-			for i := range w.Data {
-				w.Data[i] = 2*src.Float64() - 1
-			}
-			if err := n.ProgramWeights(w, hw.ProgramOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			checkFusedScores(t, label, n, src)
+		cfg := DefaultConfig(inputs, outputs)
+		cfg.Redundancy = spare
+		cfg.Sigma = 0.4
+		cfg.DefectRate = 0.02
+		n, err := New(cfg, rng.New(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := rng.New(23)
+		perm := src.Perm(inputs + spare)
+		if err := n.SetRowMap(perm[:inputs]); err != nil {
+			t.Fatal(err)
+		}
+		w := mat.NewMatrix(inputs, outputs)
+		for i := range w.Data {
+			w.Data[i] = 2*src.Float64() - 1
+		}
+		if err := n.ProgramWeights(w, hw.ProgramOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		checkFusedScores(t, isa, n, src)
 
-			for i := range w.Data {
-				w.Data[i] = 2*src.Float64() - 1
-			}
-			if err := n.ProgramWeights(w, hw.ProgramOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			checkFusedScores(t, label+" after ProgramWeights", n, src)
+		for i := range w.Data {
+			w.Data[i] = 2*src.Float64() - 1
+		}
+		if err := n.ProgramWeights(w, hw.ProgramOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		checkFusedScores(t, isa+" after ProgramWeights", n, src)
 
-			block := &n.weff[0]
-			targets := mat.NewMatrix(n.PhysRows(), outputs)
-			targets.Fill(cfg.Model.Ron)
-			if err := n.Pos.ProgramTargets(targets, hw.ProgramOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			n.Invalidate()
-			checkFusedScores(t, label+" after Invalidate", n, src)
-			if &n.weff[0] != block {
-				t.Errorf("%s: Invalidate reallocated the fused block", label)
-			}
+		block := &n.weff[0]
+		targets := mat.NewMatrix(n.PhysRows(), outputs)
+		targets.Fill(cfg.Model.Ron)
+		if err := n.Pos.ProgramTargets(targets, hw.ProgramOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		n.Invalidate()
+		checkFusedScores(t, isa+" after Invalidate", n, src)
+		if &n.weff[0] != block {
+			t.Errorf("%s: Invalidate reallocated the fused block", isa)
 		}
 	}
 }
 
 // BenchmarkNCSScores times one single-system read (Scores into a
 // reused output, as ScoresBatch and Evaluate run it) on a programmed
-// 784-input analytic NCS, per kernel implementation.
+// 784-input NCS, per kernel implementation.
 func BenchmarkNCSScores(b *testing.B) {
 	cfg := DefaultConfig(784, 10)
-	cfg.Backend = hw.Analytic
 	cfg.Sigma = 0.3
 	n, err := New(cfg, rng.New(1))
 	if err != nil {

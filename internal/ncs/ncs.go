@@ -1,8 +1,9 @@
 // Package ncs assembles the full neuromorphic computing system of the
-// paper: a positive/negative memristor crossbar pair, the digital input
-// drivers, the column-current ADCs, the weight/conductance codec and the
-// row-mapping indirection that AMP exploits. It provides the inference
-// and evaluation path shared by every training scheme.
+// paper: a positive/negative memristor crossbar pair (two
+// xbar.Crossbar arrays), the digital input drivers, the column-current
+// ADCs, the weight/conductance codec and the row-mapping indirection
+// that AMP exploits. It provides the inference and evaluation path
+// shared by every training scheme.
 package ncs
 
 import (
@@ -29,11 +30,10 @@ type Config struct {
 	WMax       float64 // weight full scale; default 1
 	WriteLvls  int     // programming-DAC levels per polarity; 0 = continuous
 
-	// Backend selects the array simulation backend both crossbars are
-	// fabricated on. The zero value is hw.Circuit, the full-physics
-	// reference; hw.Analytic is the fast conductance-matrix backend,
-	// exactly equivalent when RWire = 0 (it rejects configurations it
-	// cannot represent faithfully).
+	// Backend is read by nothing: both arrays are always xbar.Crossbar.
+	//
+	// Deprecated: it stays only because perfbench/layers.go:224 sets it;
+	// it goes with hw.Backend.
 	Backend hw.Backend
 
 	// Device and array parameters.
@@ -89,13 +89,11 @@ func (c Config) Validate() error {
 	return c.Model.Validate()
 }
 
-// NCS is one fabricated system instance. The crossbar pair is held
-// behind the hardware-abstraction boundary: Pos and Neg are hw.Array
-// values fabricated on the configured backend.
+// NCS is one fabricated system instance over a crossbar pair.
 type NCS struct {
 	cfg    Config
-	Pos    hw.Array // positive weight array
-	Neg    hw.Array // negative weight array
+	Pos    *xbar.Crossbar // positive weight array
+	Neg    *xbar.Crossbar // negative weight array
 	codec  Codec
 	chain  *adc.SenseChain
 	rowMap []int // logical row -> physical row
@@ -139,11 +137,11 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		DefectRate: cfg.DefectRate,
 		Disturb:    cfg.Disturb,
 	}
-	pos, err := NewArray(cfg.Backend, xc, src.Split())
+	pos, err := xbar.New(xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
-	neg, err := NewArray(cfg.Backend, xc, src.Split())
+	neg, err := xbar.New(xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -164,19 +162,6 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		rowMap: IdentityMap(cfg.Inputs),
 		width:  (2*cfg.Outputs + mat.TrialLanes - 1) / mat.TrialLanes * mat.TrialLanes,
 	}, nil
-}
-
-// NewArray fabricates one crossbar array on the given backend; the rng
-// source drives fabrication variation and defect draws.
-func NewArray(b hw.Backend, cfg hw.Config, src *rng.Source) (hw.Array, error) {
-	switch b {
-	case hw.Circuit:
-		return xbar.New(cfg, src)
-	case hw.Analytic:
-		return hw.NewAnalytic(cfg, src)
-	default:
-		return nil, fmt.Errorf("ncs: unknown backend %v", b)
-	}
 }
 
 // senseChainFor builds the output sensing chain of a configuration.
@@ -509,47 +494,28 @@ func (n *NCS) ProgramWeightsVerify(w *mat.Matrix, vopts hw.VerifyOptions) (Verif
 }
 
 // InitDrift initializes retention drift on both arrays. The two arrays
-// draw independent drift populations. It errors when the configured
-// backend does not model retention drift (hw.Ager).
+// draw independent drift populations.
 func (n *NCS) InitDrift(model device.DriftModel, src *rng.Source) error {
 	if src == nil {
 		return errors.New("ncs: nil rng source")
 	}
-	pos, neg, err := n.agers()
-	if err != nil {
+	if err := n.Pos.InitDrift(model, src.Split()); err != nil {
 		return err
 	}
-	if err := pos.InitDrift(model, src.Split()); err != nil {
-		return err
-	}
-	return neg.InitDrift(model, src.Split())
+	return n.Neg.InitDrift(model, src.Split())
 }
 
 // AgeTo advances both arrays to absolute time t and invalidates the
 // cached read map.
 func (n *NCS) AgeTo(t float64) error {
-	pos, neg, err := n.agers()
-	if err != nil {
+	if err := n.Pos.AgeTo(t); err != nil {
 		return err
 	}
-	if err := pos.AgeTo(t); err != nil {
-		return err
-	}
-	if err := neg.AgeTo(t); err != nil {
+	if err := n.Neg.AgeTo(t); err != nil {
 		return err
 	}
 	n.Invalidate()
 	return nil
-}
-
-// agers asserts the retention-drift capability on both arrays.
-func (n *NCS) agers() (hw.Ager, hw.Ager, error) {
-	pos, ok := n.Pos.(hw.Ager)
-	neg, ok2 := n.Neg.(hw.Ager)
-	if !ok || !ok2 {
-		return nil, nil, fmt.Errorf("ncs: backend %v does not model retention drift", n.cfg.Backend)
-	}
-	return pos, neg, nil
 }
 
 // DecodedWeights reads back the logical weight matrix currently

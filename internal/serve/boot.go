@@ -25,10 +25,11 @@ type BootConfig struct {
 	Scale string
 	// Members is the number of arrays in the fleet. Default 3.
 	Members int
-	// Backend is the array simulation backend. The zero value is
-	// hw.Circuit, the full-physics reference; vortexd's -backend flag
-	// defaults to hw.Analytic, the fast conductance-matrix backend the
-	// serving hot path wants.
+	// Backend is read by nothing: every member is an ncs.NCS over two
+	// xbar.Crossbar arrays.
+	//
+	// Deprecated: it stays only because perfbench/serve.go:59 sets it;
+	// it goes with hw.Backend.
 	Backend hw.Backend
 	// Sigma is the lognormal fabrication variation. Default 0.3.
 	Sigma float64
@@ -95,11 +96,11 @@ type Boot struct {
 
 // BuildFleet trains one weight matrix on the scale's synthetic digit
 // benchmark, fabricates Members identically-trained arrays (distinct
-// fabrication draws) on the configured backend, programs them, and
-// assembles the routing fleet. Deterministic in (Scale, Seed). Each
-// stage records a span: serve.boot.render (both digit sets),
-// serve.boot.train, serve.boot.program (fabricating and programming the
-// members) and serve.boot.accuracy (the test set through the router).
+// fabrication draws), programs them, and assembles the routing fleet.
+// Deterministic in (Scale, Seed). Each stage records a span:
+// serve.boot.render (both digit sets), serve.boot.train,
+// serve.boot.program (fabricating and programming the members) and
+// serve.boot.accuracy (the test set through the router).
 func BuildFleet(cfg BootConfig) (*Boot, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Members < 1 {
@@ -144,14 +145,13 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	}, nil
 }
 
-// programFleet fabricates cfg.Members arrays of the given input width
-// on the configured backend, each from its own seed, programs w into
-// every one and assembles the router over them.
+// programFleet fabricates cfg.Members arrays of the given input width,
+// each from its own seed, programs w into every one and assembles the
+// router over them.
 func programFleet(cfg BootConfig, features int, w *mat.Matrix) (*fleet.Fleet, error) {
 	specs := make([]fleet.MemberSpec, cfg.Members)
 	for i := range specs {
 		nc := ncs.DefaultConfig(features, dataset.NumClasses)
-		nc.Backend = cfg.Backend
 		nc.Sigma = cfg.Sigma
 		sys, err := ncs.New(nc, rng.New(cfg.Seed+uint64(100+i)))
 		if err != nil {

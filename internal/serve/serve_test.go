@@ -526,8 +526,7 @@ func TestConfigValidate(t *testing.T) {
 
 // TestServeRealFleet wires a real quick-scale fleet under the server
 // and checks classifications flow end to end — the integration path
-// vortexd runs, minus the process boundary. The fleet runs on
-// BootConfig's zero Backend, hw.Circuit; vortexd defaults to analytic.
+// vortexd runs, minus the process boundary.
 func TestServeRealFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping fleet boot (trains a classifier)")
@@ -664,6 +663,38 @@ func TestLoadSetMatchesBootTest(t *testing.T) {
 					t.Fatalf("seed %d sample %d pixel %d: %v, want %v", seed, i, q, g.Pixels[q], v)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildFleetAccuracyPinned pins the booted fleet's test accuracy,
+// bit for bit, at the settings vortexd and perfbench boot with (three
+// members, σ 0.3): a change to rendering, training, fabrication,
+// programming or the read path that moves any answer shows here. Full
+// scale at seed 42 is perfbench's serve_bin boot_accuracy gate and Quick
+// at seed 42 its serve_json one; the Full boot is skipped under -short.
+func TestBuildFleetAccuracyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		scale string
+		seed  uint64
+		want  float64
+	}{
+		{"quick", 1, 0.6333333333333333},
+		{"quick", 2, 0.6733333333333333},
+		{"quick", 3, 0.6666666666666666},
+		{"quick", 42, 0.6133333333333333},
+		{"full", 42, 0.921},
+	} {
+		if tc.scale == "full" && testing.Short() {
+			t.Logf("short mode: skipping the Full boot at seed %d", tc.seed)
+			continue
+		}
+		boot, err := BuildFleet(BootConfig{Scale: tc.scale, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot.Accuracy != tc.want {
+			t.Errorf("%s seed %d: accuracy %v, want %v", tc.scale, tc.seed, boot.Accuracy, tc.want)
 		}
 	}
 }

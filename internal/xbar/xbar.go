@@ -12,6 +12,12 @@
 //
 // The crossbar also provides the AMP pre-test primitive (program every
 // cell against an HRS background and sense its resistance, Sec. 4.2.1).
+//
+// Crossbar is the repository's one array model: ncs holds its positive
+// and negative arrays as *Crossbar, and fault injection, endurance wear
+// and retention drift reach the cells through it directly. The shared
+// vocabulary (configuration, pulses, verify options and reports, cost
+// counters, metrics) lives in internal/hw.
 package xbar
 
 import (
@@ -31,18 +37,13 @@ import (
 // configuration type; see hw.Config for the field documentation.
 type Config = hw.Config
 
-// The crossbar is the reference (circuit) implementation of the
-// hardware-abstraction layer, hw.Circuit.
-var (
-	_ hw.Array          = (*Crossbar)(nil)
-	_ hw.Ager           = (*Crossbar)(nil)
-	_ hw.DefectAccessor = (*Crossbar)(nil)
-	_ hw.CellAccessor   = (*Crossbar)(nil)
-)
-
 // Crossbar is a fabricated array of memristors. Fabrication draws each
 // device's parametric variation and defects from the configured
 // distributions; the draw is deterministic in the provided rng source.
+//
+// A Crossbar is not safe for concurrent use: its conductance cache,
+// solver workspace and cost counters are unguarded. Distinct crossbars
+// share no mutable state, so Monte-Carlo loops give each trial its own.
 type Crossbar struct {
 	cfg   Config
 	cells []device.Memristor
@@ -74,7 +75,7 @@ func New(cfg Config, src *rng.Source) (*Crossbar, error) {
 		cfg:   cfg,
 		cells: make([]device.Memristor, cfg.Rows*cfg.Cols),
 		src:   src,
-		met:   hw.MetricsFor(hw.Circuit.String()),
+		met:   hw.CrossbarMetrics(),
 	}
 	for i := range xb.cells {
 		theta := 0.0
@@ -118,7 +119,7 @@ func (x *Crossbar) Cell(i, j int) *device.Memristor {
 func (x *Crossbar) Defect(i, j int) device.DefectKind { return x.Cell(i, j).Defect }
 
 // SetDefect converts the device at (i, j) to the given defect state
-// (the fault-injection capability of the hardware layer).
+// (what fault injection uses).
 func (x *Crossbar) SetDefect(i, j int, k device.DefectKind) { x.Cell(i, j).Defect = k }
 
 // conductances returns the cached observable conductance matrix,
