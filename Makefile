@@ -58,7 +58,7 @@ doccheck:
 # full resolution, then decimating), the digit skip (against the
 # render's draws), the render's two kernels, the pixel noise and a
 # stroke row's coverage (each against its scalar expression, on every
-# ISA), the SGD sweep's float32 screen (against its error bound, on
+# ISA), the SGD sweep's binary16 screen (against its error bound, on
 # every ISA) and the screened column trainer (against the one-Dot-per-
 # sample reference).
 fuzz:

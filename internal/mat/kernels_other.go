@@ -9,3 +9,8 @@ func installKernelISA(string) {
 	scoreRows8Active, screenRowActive, stepRowActive = scoreRows8Generic, screenRowGeneric, stepRowGeneric
 	pixelNoiseActive, strokeRowActive = pixelNoiseGeneric, strokeRowGeneric
 }
+
+// halfRow on non-amd64 builds is halfRowGeneric.
+func halfRow(dst []uint16, x []float64, acc *[4][16]float64) {
+	halfRowGeneric(dst, x, acc)
+}

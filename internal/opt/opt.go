@@ -142,8 +142,8 @@ func TrainColumn(p Problem, cfg SGDConfig, src *rng.Source) ([]float64, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	x32 := mat.NewScreenMatrix(p.X, cfg.WMax)
-	return trainColumn(p, &x32, cfg, src, nil), nil
+	x16 := mat.NewScreenMatrix(p.X, cfg.WMax)
+	return trainColumn(p, &x16, cfg, src, nil), nil
 }
 
 // validate returns the error TrainColumn reports for p and src, if any.
@@ -158,11 +158,11 @@ func validate(p Problem, src *rng.Source) error {
 }
 
 // trainColumn is TrainColumn on a valid problem, with cfg's defaults
-// resolved and x32 = mat.NewScreenMatrix(p.X, cfg.WMax), which it only
+// resolved and x16 = mat.NewScreenMatrix(p.X, cfg.WMax), which it only
 // reads. Before each epoch it checks stop (when not nil); once stop is
 // set it returns nil, leaving src wherever training got to. It adds
 // the column's exact visits and loss terms to the opt.screen counters.
-func trainColumn(p Problem, x32 *mat.ScreenMatrix, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) []float64 {
+func trainColumn(p Problem, x16 *mat.ScreenMatrix, cfg SGDConfig, src *rng.Source, stop *atomic.Bool) []float64 {
 	blk := new(block)
 	defer func() {
 		reg := obs.Default()
@@ -187,7 +187,7 @@ func trainColumn(p Problem, x32 *mat.ScreenMatrix, cfg SGDConfig, src *rng.Sourc
 		saved := *src
 		copy(prev, w)
 		src.Shuffle(s, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		blk.pass(p, x32, order, w, prev, terms, rate, cfg.WMax, e > 0)
+		blk.pass(p, x16, order, w, prev, terms, rate, cfg.WMax, e > 0)
 		rate *= cfg.RateDecay
 		if e == 0 {
 			continue // prev is the zero start, whose loss nothing tests
@@ -238,7 +238,7 @@ type block struct {
 // withTerms it also sets terms[i] to sample i's loss against prev,
 // which it does not change.
 //
-// Each visit first screens the sample's row from x32 against w and
+// Each visit first screens the sample's row from x16 against w and
 // prev (mat.ScreenRow), then trusts the screen only where the row's
 // bound proves what the exact chain would decide (DESIGN §4.1):
 //
@@ -253,7 +253,7 @@ type block struct {
 // So every decision is the exact chain's, and every value that enters
 // w or terms comes from an exact chain. A step is one mat.StepRow
 // call, the scalar update loop's arithmetic bit for bit.
-func (blk *block) pass(p Problem, x32 *mat.ScreenMatrix, order []int, w, prev, terms []float64, rate, wmax float64, withTerms bool) {
+func (blk *block) pass(p Problem, x16 *mat.ScreenMatrix, order []int, w, prev, terms []float64, rate, wmax float64, withTerms bool) {
 	pen := p.Gamma > 0 && p.Rho > 0
 	gr := p.Gamma * p.Rho
 	// atLeast reports whether a margin m reaches the one a zero loss
@@ -269,8 +269,8 @@ func (blk *block) pass(p Problem, x32 *mat.ScreenMatrix, order []int, w, prev, t
 		if k+1 < len(order) {
 			next = order[k+1]
 		}
-		mat.ScreenRow(scr, x32, idx, next, w, prev, pen)
-		ed, es := x32.Bounds(idx)
+		mat.ScreenRow(scr, x16, idx, next, w, prev, pen)
+		ed, es := x16.Bounds(idx)
 		y := p.Y[idx]
 		if withTerms {
 			if atLeast(y*scr.DotPrev-ed, scr.SqPrev+es) {
@@ -369,7 +369,7 @@ func TrainAll(x *mat.Matrix, labels []int, classes int, gamma, rho float64, cfg 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	x32 := mat.NewScreenMatrix(x, cfg.WMax) // read by every column
+	x16 := mat.NewScreenMatrix(x, cfg.WMax) // read by every column
 	workers := min(runtime.GOMAXPROCS(0), classes)
 	done := make(chan *column) // unbuffered: every started column must be received
 	truth := *src              // where the last kept column ended
@@ -395,7 +395,7 @@ func TrainAll(x *mat.Matrix, labels []int, classes int, gamma, rho float64, cfg 
 			go func() {
 				s := col.start
 				p := Problem{X: x, Y: targets(labels, col.class), Gamma: gamma, Rho: rho}
-				col.w = trainColumn(p, &x32, cfg, &s, &col.stop)
+				col.w = trainColumn(p, &x16, cfg, &s, &col.stop)
 				col.end = s
 				done <- col
 			}()

@@ -290,8 +290,8 @@ func TestSweepLossMatchesReference(t *testing.T) {
 				}
 				kept := append([]float64(nil), prev...)
 				terms := make([]float64, s)
-				x32 := mat.NewScreenMatrix(p.X, 1)
-				new(block).pass(p, &x32, order, w, prev, terms, 0.05, 1, true)
+				x16 := mat.NewScreenMatrix(p.X, 1)
+				new(block).pass(p, &x16, order, w, prev, terms, 0.05, 1, true)
 				got, want := meanLoss(terms), refMeanLoss(p, kept)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("s %d gamma %v fresh w %v: sweep loss %v, reference %v", s, gamma, fresh, got, want)

@@ -172,9 +172,9 @@ func TestScreenedPassAtTheMargin(t *testing.T) {
 		}
 		w := append([]float64(nil), prev...)
 		terms1 := make([]float64, p.X.Rows)
-		x32 := mat.NewScreenMatrix(p.X, 1)
+		x16 := mat.NewScreenMatrix(p.X, 1)
 		blk := new(block)
-		blk.pass(p, &x32, rng.New(9).Perm(p.X.Rows), w, prev, terms1, marginRate/2, 1, true)
+		blk.pass(p, &x16, rng.New(9).Perm(p.X.Rows), w, prev, terms1, marginRate/2, 1, true)
 		if got, want := meanLoss(terms1), refMeanLoss(p, prev); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("gamma %v: pass loss %v, reference %v", gamma, got, want)
 		}
@@ -185,17 +185,21 @@ func TestScreenedPassAtTheMargin(t *testing.T) {
 }
 
 // TestScreenExactOnlyRows: a problem with a row holding NaN, +Inf, -Inf
-// or a magnitude above MaxFloat32, which the screen cannot bound, or
-// MaxFloat32 or -3e38, which it can, trains to refTrainColumn's weights
-// and source bit for bit (NaN payloads aside), at gamma 0 and 0.05; the
-// rows it cannot bound go to the exact chains.
+// or a magnitude that rounds past 65504, the largest binary16 (65520,
+// the tie that rounds to Inf, 65519.999, which float32 rounds to it,
+// 1e5, MaxFloat32, 1e39, -MaxFloat64), which the screen cannot bound,
+// or 65504, 65519.99, a binary16 subnormal or 2⁻²⁵, which rounds to 0,
+// which it can, trains to refTrainColumn's weights and source bit for
+// bit (NaN payloads aside), at gamma 0 and 0.05; the rows it cannot
+// bound go to the exact chains.
 func TestScreenExactOnlyRows(t *testing.T) {
 	specials := []struct {
 		v         float64
 		exactOnly bool
 	}{
-		{math.NaN(), true}, {math.Inf(1), true}, {math.Inf(-1), true}, {1e39, true}, {-math.MaxFloat64, true},
-		{math.MaxFloat32, false}, {-3e38, false},
+		{math.NaN(), true}, {math.Inf(1), true}, {math.Inf(-1), true},
+		{65520, true}, {-65519.999, true}, {1e5, true}, {math.MaxFloat32, true}, {1e39, true}, {-math.MaxFloat64, true},
+		{65504, false}, {-65519.99, false}, {3 * 0x1p-24, false}, {0x1p-25, false},
 	}
 	for _, sp := range specials {
 		for _, gamma := range []float64{0, 0.05} {
