@@ -23,7 +23,6 @@ race:
 	$(GO) test -race ./internal/opt/
 	$(GO) test -race -short -count=10 ./internal/opt/ -run 'TestTrainAll'
 	$(GO) test -race ./internal/dataset/ -run 'TestDigits'
-	$(GO) test -race -count=10 ./internal/dataset/ -run 'TestSplitRenderMatchesSerial'
 	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestScalarTrial|TestCrashDemo'
 	$(GO) test -race ./cmd/vortexsim/
 	$(GO) test -race ./internal/fault/
@@ -55,12 +54,11 @@ doccheck:
 # handler's contract and the body decoder against encoding/json), the
 # Prometheus exposition validator, checkpoint files, the -chaos mode
 # parser, the reduced-resolution digit render (against rendering at
-# full resolution, then decimating), the digit skip (against the
-# render's draws), the render's two kernels, the pixel noise and a
-# stroke row's coverage (each against its scalar expression, on every
-# ISA), the SGD sweep's binary16 screen (against its error bound, on
-# every ISA) and the screened column trainer (against the one-Dot-per-
-# sample reference).
+# full resolution, then decimating), the render's two kernels, the
+# pixel noise and a stroke row's coverage (each against its scalar
+# expression, on every ISA), the SGD sweep's binary16 screen (against
+# its error bound, on every ISA) and the screened column trainer
+# (against the one-Dot-per-sample reference).
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
@@ -73,7 +71,6 @@ fuzz:
 	$(GO) test ./internal/experiment/ -run '^$$' -fuzz FuzzCheckpointFile -fuzztime 30s
 	$(GO) test ./internal/chaos/ -run '^$$' -fuzz FuzzParseMode -fuzztime 30s
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzDecimatedRender -fuzztime 30s
-	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzSkipDigit -fuzztime 30s
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzPixelNoise -fuzztime 30s
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzStrokeRow -fuzztime 30s
 	$(GO) test ./internal/mat/ -run '^$$' -fuzz FuzzScreenRow -fuzztime 30s

@@ -1,6 +1,7 @@
-// Package adc models the mixed-signal periphery of the crossbar: the
-// digital-to-analog input drivers, the analog-to-digital converter that
-// senses column currents, and the combined sense chain.
+// Package adc models the sensing side of the crossbar's mixed-signal
+// periphery: the analog-to-digital converter that senses column currents
+// and the combined sense chain. The input drivers, which clamp each input
+// to [0, 1] and scale it to a row voltage, are part of the ncs read path.
 //
 // The ADC is the only observation channel available to the close-loop
 // (CLD) training scheme and to AMP pre-testing, so its resolution directly
@@ -91,55 +92,6 @@ func (c *Converter) Value(code int) float64 {
 	return v
 }
 
-// QuantizeVec quantizes each element of xs into dst (allocated if nil).
-func (c *Converter) QuantizeVec(dst, xs []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(xs))
-	}
-	if len(dst) != len(xs) {
-		panic("adc: QuantizeVec length mismatch")
-	}
-	for i, x := range xs {
-		dst[i] = c.Quantize(x)
-	}
-	return dst
-}
-
-// DAC models the digital input drivers: a binary input vector becomes row
-// voltages of amplitude Vread. The paper's evaluation drives rows with
-// digital voltages corresponding to image pixels.
-type DAC struct {
-	Vread float64 // read voltage amplitude [V]
-}
-
-// NewDAC returns a DAC with the given read amplitude.
-func NewDAC(vread float64) (*DAC, error) {
-	if vread <= 0 {
-		return nil, errors.New("adc: read voltage must be positive")
-	}
-	return &DAC{Vread: vread}, nil
-}
-
-// Drive converts a digital/analog input vector in [0, 1] into row
-// voltages. Values are clamped to [0, 1] first.
-func (d *DAC) Drive(dst, xs []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(xs))
-	}
-	if len(dst) != len(xs) {
-		panic("adc: Drive length mismatch")
-	}
-	for i, x := range xs {
-		if x < 0 {
-			x = 0
-		} else if x > 1 {
-			x = 1
-		}
-		dst[i] = x * d.Vread
-	}
-	return dst
-}
-
 // SenseChain bundles the column-current ADC with an optional ideal mode
 // used by software-reference experiments ("infinite resolution").
 type SenseChain struct {
@@ -168,20 +120,6 @@ func (s *SenseChain) Sense(i float64) float64 {
 		return v
 	}
 	return s.ADC.Quantize(v)
-}
-
-// SenseVec senses every element of currents into dst (allocated if nil).
-func (s *SenseChain) SenseVec(dst, currents []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(currents))
-	}
-	if len(dst) != len(currents) {
-		panic("adc: SenseVec length mismatch")
-	}
-	for i, c := range currents {
-		dst[i] = s.Sense(c)
-	}
-	return dst
 }
 
 // Ideal returns a sense chain with no quantization and no noise.

@@ -98,53 +98,10 @@ func TestValueCodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuantizeVec(t *testing.T) {
-	c, _ := NewConverter(4, 0, 1)
-	xs := []float64{0.1, 0.5, 0.9}
-	out := c.QuantizeVec(nil, xs)
-	for i := range xs {
-		if out[i] != c.Quantize(xs[i]) {
-			t.Fatal("QuantizeVec mismatch")
-		}
-	}
-	dst := make([]float64, 3)
-	got := c.QuantizeVec(dst, xs)
-	if &got[0] != &dst[0] {
-		t.Fatal("QuantizeVec did not reuse dst")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.QuantizeVec(make([]float64, 2), xs)
-}
-
-func TestDAC(t *testing.T) {
-	if _, err := NewDAC(0); err == nil {
-		t.Fatal("expected error for non-positive Vread")
-	}
-	d, err := NewDAC(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := d.Drive(nil, []float64{0, 0.5, 1, -2, 3})
-	want := []float64{0, 0.5, 1, 0, 1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Drive = %v, want %v", v, want)
-		}
-	}
-}
-
 func TestSenseChainIdeal(t *testing.T) {
 	s := Ideal()
 	if s.Sense(0.123456) != 0.123456 {
 		t.Fatal("ideal chain must be transparent")
-	}
-	out := s.SenseVec(nil, []float64{1, 2})
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatal("SenseVec ideal")
 	}
 }
 

@@ -131,9 +131,7 @@ func GenerateBalanced(cfg Config, perClass int, src *rng.Source) (*Set, error) {
 // generateBalanced is GenerateBalanced rendered straight at resolution
 // cfg.Size/factor. Its set is, bit for bit,
 // Undersample(GenerateBalanced(cfg, perClass, src), factor, Decimate),
-// and src ends where that full render leaves it. At factor 1 the
-// second half of the samples renders on a second goroutine, which it
-// waits for.
+// and src ends where that full render leaves it.
 func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -148,32 +146,10 @@ func generateBalanced(cfg Config, perClass, factor int, src *rng.Source) (*Set, 
 		return nil, errors.New("dataset: nil rng source")
 	}
 	set := &Set{Size: cfg.Size / factor, Samples: make([]Sample, perClass*NumClasses)}
-	render := func(samples []Sample, first int, from *rng.Source) {
-		var draws noiseDraws
-		for i := range samples {
-			label := (first + i) / perClass
-			samples[i] = Sample{Pixels: renderDigit(cfg, label, factor, from, &draws), Label: label}
-		}
-	}
-	if half := len(set.Samples) / 2; factor == 1 && half > 0 {
-		// The second half renders on a second goroutine from a copy of
-		// src advanced past the first half, which costs a fraction of
-		// rendering it when every pixel is kept. At other factors a skip
-		// costs about as much as the render it replaces.
-		second := *src
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < half; i++ {
-				skipDigit(cfg, i/perClass, &second)
-			}
-			render(set.Samples[half:], half, &second)
-		}()
-		render(set.Samples[:half], 0, src)
-		<-done
-		*src = second
-	} else {
-		render(set.Samples, 0, src)
+	var draws noiseDraws
+	for i := range set.Samples {
+		label := i / perClass
+		set.Samples[i] = Sample{Pixels: renderDigit(cfg, label, factor, src, &draws), Label: label}
 	}
 	src.Shuffle(len(set.Samples), func(i, j int) {
 		set.Samples[i], set.Samples[j] = set.Samples[j], set.Samples[i]
@@ -274,23 +250,6 @@ func renderDigit(cfg Config, label, factor int, src *rng.Source, draws *noiseDra
 	}
 	mat.PixelNoise(px, u, q, flipped, std)
 	return px
-}
-
-// skipDigit advances src past the draws of one renderDigit(cfg, label,
-// factor, src, draws) call, at any factor, without rendering: the
-// transform's five uniforms and the stroke width's, two per control
-// point when cfg.PointJit > 0, then every pixel's noise draws.
-func skipDigit(cfg Config, label int, src *rng.Source) {
-	draws := 6
-	if cfg.PointJit > 0 {
-		for _, pl := range glyphs[label] {
-			draws += 2 * len(pl)
-		}
-	}
-	for ; draws > 0; draws-- {
-		src.Uint64()
-	}
-	src.PixelDraws(nil, nil, nil, cfg.Size*cfg.Size, cfg.NoiseStd, cfg.FlipProb)
 }
 
 // strokeSegment adds the soft coverage of one thick segment into px, the

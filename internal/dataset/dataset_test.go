@@ -3,10 +3,8 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"vortex/internal/mat"
 	"vortex/internal/opt"
@@ -286,69 +284,6 @@ func TestDecimatedRenderMatchesFullRender(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSplitRenderMatchesSerial: a full-resolution balanced set, whose
-// halves render on two goroutines, is the set one renderDigit call per
-// sample in label order then the shuffle gives, bit for bit, and the
-// source ends where that serial render leaves it. No goroutine outlives
-// generateBalanced, on success or on an error return. Run it under
-// -race -count=10.
-func TestSplitRenderMatchesSerial(t *testing.T) {
-	serial := func(cfg Config, perClass int, src *rng.Source) *Set {
-		set := &Set{Size: cfg.Size}
-		for label := 0; label < NumClasses; label++ {
-			for k := 0; k < perClass; k++ {
-				set.Samples = append(set.Samples, Sample{Pixels: renderDigit(cfg, label, 1, src, new(noiseDraws)), Label: label})
-			}
-		}
-		src.Shuffle(len(set.Samples), func(i, j int) {
-			set.Samples[i], set.Samples[j] = set.Samples[j], set.Samples[i]
-		})
-		return set
-	}
-	before := runtime.NumGoroutine()
-	for _, perClass := range []int{0, 1, 2, 3} {
-		for _, seed := range []uint64{1, 2, 3, 42} {
-			cfg := DefaultConfig()
-			if seed == 2 {
-				cfg.Size, cfg.PointJit = 16, 0
-			}
-			split, ref := rng.New(seed), rng.New(seed)
-			got, err := generateBalanced(cfg, perClass, 1, split)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("size %d per class %d seed %d", cfg.Size, perClass, seed)
-			sameSet(t, name, got, serial(cfg, perClass, ref))
-			if g, w := split.Uint64(), ref.Uint64(); g != w {
-				t.Fatalf("%s: next draw %#x, serial %#x", name, g, w)
-			}
-		}
-	}
-	bad := DefaultConfig()
-	bad.FlipProb = 2
-	if _, err := generateBalanced(bad, 3, 1, rng.New(1)); err == nil {
-		t.Fatal("invalid config: expected an error")
-	}
-	if !goroutinesBackTo(before) {
-		t.Fatalf("%d goroutines after the renders, %d before", runtime.NumGoroutine(), before)
-	}
-}
-
-// goroutinesBackTo reports whether runtime.NumGoroutine falls to want
-// within a second. A goroutine that has closed its done channel still
-// has to exit, so the count may lag the receive that waited for it by
-// a moment.
-func goroutinesBackTo(want int) bool {
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
 }
 
 // TestStrokePretestSkipsOnlyUncovered: wherever strokeSegment's squared

@@ -50,35 +50,3 @@ func FuzzDecimatedRender(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSkipDigit: skipDigit leaves the source where renderDigit leaves
-// it, over labels, image sizes and each of the point jitter, the
-// Gaussian noise and the flips switched on or off.
-func FuzzSkipDigit(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint8(7))
-	f.Add(uint64(7), uint8(1), uint8(1), uint8(0))
-	f.Add(uint64(42), uint8(8), uint8(2), uint8(5))
-	f.Add(uint64(99), uint8(9), uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, label, sizeSel, on uint8) {
-		cfg := DefaultConfig()
-		cfg.Size = []int{28, 16, 12, 8}[sizeSel%4]
-		if on&1 == 0 {
-			cfg.PointJit = 0
-		}
-		if on&2 == 0 {
-			cfg.NoiseStd = 0
-		}
-		if on&4 == 0 {
-			cfg.FlipProb = 0
-		}
-		l := int(label) % NumClasses
-		rendered, skipped := rng.New(seed), rng.New(seed)
-		renderDigit(cfg, l, 1, rendered, new(noiseDraws))
-		skipDigit(cfg, l, skipped)
-		for i := 0; i < 4; i++ {
-			if g, w := skipped.Uint64(), rendered.Uint64(); g != w {
-				t.Fatalf("size %d label %d %+v: draw %d after skipDigit %#x, after renderDigit %#x", cfg.Size, l, cfg, i, g, w)
-			}
-		}
-	})
-}

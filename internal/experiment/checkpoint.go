@@ -84,12 +84,12 @@ func openCheckpoint(dir, runner string, scale Scale, seed uint64) (*checkpointSt
 	}
 	var f checkpointFile
 	if err := json.Unmarshal(raw, &f); err != nil {
-		obs.L().Warn("corrupt checkpoint ignored", "file", s.path, "err", err)
+		obs.Logger().Warn("corrupt checkpoint ignored", "file", s.path, "err", err)
 		return s, nil
 	}
 	if f.Version != checkpointVersion || f.Runner != runner ||
 		f.Scale != scale.String() || f.Seed != seed {
-		obs.L().Warn("mismatched checkpoint ignored", "file", s.path,
+		obs.Logger().Warn("mismatched checkpoint ignored", "file", s.path,
 			"version", f.Version, "runner", f.Runner, "scale", f.Scale, "seed", f.Seed)
 		return s, nil
 	}

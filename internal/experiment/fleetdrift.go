@@ -202,7 +202,7 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 	}
 
 	// Pre-fault baseline through the router itself, before any aging.
-	baseline, err := fleetAccuracy(fl, testSet)
+	baseline, err := fl.Accuracy(testSet)
 	if err != nil {
 		return nil, err
 	}
@@ -293,22 +293,6 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 	res.Retired = fl.CountState(fleet.Retired)
 	res.OverallAv = ratio64(totalAns, totalReq)
 	return res, nil
-}
-
-// fleetAccuracy classifies the whole set through the fleet router and
-// returns the fraction answered correctly.
-func fleetAccuracy(fl *fleet.Fleet, set *dataset.Set) (float64, error) {
-	correct := 0
-	for _, s := range set.Samples {
-		r, err := fl.Classify(s.Pixels)
-		if err != nil {
-			return 0, err
-		}
-		if r.Class == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(set.Len()), nil
 }
 
 // ratio is a/b guarding the empty denominator.

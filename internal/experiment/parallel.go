@@ -216,7 +216,7 @@ func parallelTrials[T any](ctx context.Context, n int, fn func(t Trial) (T, erro
 		}
 		te := trialError(lastErr, i, retrySeed(runSeed, seq, i, 0), attempts)
 		if partial && !isFatal(lastErr) {
-			obs.L().Warn("trial abandoned (partial mode)", "trial", te.Index,
+			obs.Logger().Warn("trial abandoned (partial mode)", "trial", te.Index,
 				"seed", te.Seed, "attempts", te.Attempts, "err", te.Err)
 			obs.RecordEvent("trial.abandoned", "trial", "trial", te.Index,
 				"attempts", te.Attempts, "err", te.Err)

@@ -110,7 +110,7 @@ func (s *sweepState) checkpoint() *checkpointStore {
 func (s *sweepState) disableStore(msg string, err error) {
 	s.storeOff.Store(true)
 	s.warnOnce.Do(func() {
-		obs.L().Warn("checkpointing disabled for this run", "exp", s.name, "reason", msg, "err", err)
+		obs.Logger().Warn("checkpointing disabled for this run", "exp", s.name, "reason", msg, "err", err)
 	})
 }
 

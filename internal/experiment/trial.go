@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -119,15 +118,6 @@ func Fatal(err error) error {
 func isFatal(err error) bool {
 	var fe *fatalError
 	return errors.As(err, &fe)
-}
-
-// retryable reports whether a trial error may be retried: context
-// cancellation and deadline expiry propagate the sweep's own shutdown
-// and Fatal-marked errors are programmer errors, so neither retries.
-func retryable(err error) bool {
-	return !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) &&
-		!isFatal(err)
 }
 
 // retrySeed derives the deterministic per-attempt trial seed from the

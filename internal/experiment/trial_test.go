@@ -88,19 +88,32 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	}
 }
 
+// TestFatalAndRetryableClassification: parallelTrials retries a plain
+// error, and runs a Fatal-marked one or a context error returned under a
+// live context once; the Fatal marker survives wrapping.
 func TestFatalAndRetryableClassification(t *testing.T) {
 	plain := errors.New("flaky")
-	if !retryable(plain) {
-		t.Fatal("a plain error must be retryable")
-	}
-	if retryable(Fatal(plain)) {
-		t.Fatal("a Fatal-marked error must not be retryable")
-	}
-	if retryable(context.Canceled) || retryable(context.DeadlineExceeded) {
-		t.Fatal("context errors must not be retryable")
-	}
-	if retryable(fmt.Errorf("wrapped: %w", context.Canceled)) {
-		t.Fatal("a wrapped context error must not be retryable")
+	for _, tc := range []struct {
+		err   error
+		calls int64
+	}{
+		{plain, 3},
+		{Fatal(plain), 1},
+		{context.Canceled, 1},
+		{context.DeadlineExceeded, 1},
+		{fmt.Errorf("wrapped: %w", context.Canceled), 1},
+	} {
+		ctx, _ := resilientCtx(context.Background(), RunConfig{
+			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
+		}, 1)
+		var calls atomic.Int64
+		_, _, err := parallelTrials(ctx, 1, func(tr Trial) (int, error) {
+			calls.Add(1)
+			return 0, tc.err
+		})
+		if err == nil || calls.Load() != tc.calls {
+			t.Fatalf("%v: err %v after %d calls, want an error after %d", tc.err, err, calls.Load(), tc.calls)
+		}
 	}
 	if !isFatal(fmt.Errorf("wrapped: %w", Fatal(plain))) {
 		t.Fatal("the Fatal marker must survive wrapping")

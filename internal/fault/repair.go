@@ -120,7 +120,7 @@ func Repair(ctx context.Context, n *ncs.NCS, w *mat.Matrix, pol Policy) (*Outcom
 			reg.Counter("fault.repair.degraded").Inc()
 		}
 		d := sp.End()
-		obs.L().Debug("repair done", "rounds", out.Rounds, "damage", out.Damage,
+		obs.Logger().Debug("repair done", "rounds", out.Rounds, "damage", out.Damage,
 			"remapped", out.Remapped, "degraded", out.Degraded, "elapsed", d)
 	}()
 	for out.Rounds < pol.MaxRounds {

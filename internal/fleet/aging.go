@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"vortex/internal/device"
 	"vortex/internal/fault"
@@ -50,8 +49,7 @@ func (c AgingConfig) withDefaults() AgingConfig {
 // member's device clock (drift), injects the configured per-step fault
 // shock, and applies endurance wear — all under the member locks, so
 // aging interleaves safely with routed reads and controller repairs.
-// Drive it manually with Step (tests, the experiment loop) or on a
-// wall-clock interval with Run.
+// Its caller drives it one Step at a time (tests, the experiment loop).
 type Aging struct {
 	f   *Fleet
 	cfg AgingConfig
@@ -192,20 +190,4 @@ func (a *Aging) account(rep fault.Report) {
 	a.killed += int64(rep.Total())
 	a.mu.Unlock()
 	a.cKilled.Add(int64(rep.Total()))
-}
-
-// Run drives Step on the given interval until ctx is done.
-func (a *Aging) Run(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := a.Step(ctx); err != nil && ctx.Err() == nil {
-				obs.L().Warn("fleet aging step failed", "err", err)
-			}
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vortex/internal/dataset"
 	"vortex/internal/fault"
@@ -91,8 +90,8 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // goroutines bounded by MaxConcurrentRepairs, so the fleet keeps
 // serving from the remaining members while one is on the bench.
 //
-// Tick may be driven manually (tests, the experiment loop) or by Run on
-// a wall-clock interval; the two must not be mixed concurrently.
+// Its caller drives it one Tick at a time (tests, the experiment loop)
+// and waits for the passes with Quiesce.
 type Controller struct {
 	f   *Fleet
 	cfg ControllerConfig
@@ -208,22 +207,6 @@ func (c *Controller) Tick(ctx context.Context) {
 	}
 }
 
-// Run drives Tick on the given interval until ctx is done, then waits
-// for in-flight maintenance to finish.
-func (c *Controller) Run(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			c.Quiesce()
-			return
-		case <-t.C:
-			c.Tick(ctx)
-		}
-	}
-}
-
 // Quiesce blocks until every in-flight maintenance pass has finished.
 func (c *Controller) Quiesce() { c.wg.Wait() }
 
@@ -240,7 +223,7 @@ func healthScore(m *fault.Map) float64 {
 // and decides its next state. prior is the state the member held before
 // maintenance (a Degraded member that passes its checks rejoins).
 func (c *Controller) maintain(ctx context.Context, m *Member, prior State) {
-	log := obs.L()
+	log := obs.Logger()
 	ctx, msp := obs.StartSpanCtx(ctx, "fleet.maintain", "member", m.id, "prior", prior.String())
 	defer msp.End()
 	m.mu.Lock()
@@ -324,7 +307,7 @@ func (c *Controller) rejoin(m *Member, prior State, health, damage float64) {
 		m.brk.HalfOpen()
 		c.rejoins.Add(1)
 		c.cRejoins.Inc()
-		obs.L().Info("fleet member rejoining", "member", m.id, "health", health, "damage", damage)
+		obs.Logger().Info("fleet member rejoining", "member", m.id, "health", health, "damage", damage)
 		obs.RecordEvent("fleet.rejoin", m.id, "health", health, "damage", damage)
 	}
 	m.setState(Serving)

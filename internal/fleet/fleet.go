@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vortex/internal/dataset"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/ncs"
@@ -263,6 +264,23 @@ func (f *Fleet) Classify(x []float64) (Result, error) {
 		return nil
 	}, &res.Degraded)
 	return res, err
+}
+
+// Accuracy classifies every sample of set through the router, one
+// Classify call each in order, and returns the fraction answered
+// correctly. The first read error ends it.
+func (f *Fleet) Accuracy(set *dataset.Set) (float64, error) {
+	correct := 0
+	for _, s := range set.Samples {
+		r, err := f.Classify(s.Pixels)
+		if err != nil {
+			return 0, err
+		}
+		if r.Class == s.Label {
+			correct++
+		}
+	}
+	return float64(correct) / float64(set.Len()), nil
 }
 
 // ReadBatchCtx routes a batch of reads to one member (amortizing the

@@ -121,6 +121,34 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	}
 }
 
+// TestAccuracyMatchesClassifyLoop: Accuracy on a two-member fleet is
+// the per-sample loop over Classify on an identically built fleet, and
+// it makes one routed read per sample.
+func TestAccuracyMatchesClassifyLoop(t *testing.T) {
+	f, _, set := testFleet(t, 2, Config{})
+	ref, _, _ := testFleet(t, 2, Config{})
+	acc, err := f.Accuracy(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	correct := 0
+	for _, s := range set.Samples {
+		r, err := ref.Classify(s.Pixels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Class == s.Label {
+			correct++
+		}
+	}
+	if want := float64(correct) / float64(set.Len()); acc != want {
+		t.Fatalf("Accuracy = %v, per-sample Classify loop %v", acc, want)
+	}
+	if st := f.Stats(); st.Requests != int64(set.Len()) || st.Answered != st.Requests {
+		t.Fatalf("stats %+v after %d samples", st, set.Len())
+	}
+}
+
 func TestRouterSkipsRepairingMembers(t *testing.T) {
 	f, _, set := testFleet(t, 3, Config{})
 	benched := f.Member("a1")

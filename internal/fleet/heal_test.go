@@ -10,21 +10,14 @@ import (
 	"vortex/internal/fault"
 )
 
-// fleetAccuracy classifies the whole set through the fleet router and
-// returns the fraction answered correctly.
+// fleetAccuracy is f.Accuracy(set), failing t on a read error.
 func fleetAccuracy(t *testing.T, f *Fleet, set *dataset.Set) float64 {
 	t.Helper()
-	correct := 0
-	for _, s := range set.Samples {
-		res, err := f.Classify(s.Pixels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Class == s.Label {
-			correct++
-		}
+	acc, err := f.Accuracy(set)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return float64(correct) / float64(set.Len())
+	return acc
 }
 
 // TestKillAndHealEndToEnd is the acceptance scenario: synthetic traffic

@@ -40,27 +40,14 @@ func RowSensitivity(w *mat.Matrix, xmean []float64) []float64 {
 	return s
 }
 
-// SWV returns the summed weighted variation of placing weight row wRow on
-// physical row q (Eq. 12): sum_j |w_j * (1 - f_qj)| where f is the
-// measured variation-factor matrix e^theta from pre-testing.
-func SWV(wRow []float64, factors *mat.Matrix, q int) float64 {
-	if len(wRow) != factors.Cols {
-		panic("mapping: SWV column mismatch")
-	}
-	f := factors.Row(q)
-	s := 0.0
-	for j, w := range wRow {
-		s += math.Abs(w * (1 - f[j]))
-	}
-	return s
-}
-
-// PairSWV returns the SWV of a signed weight row against the
-// positive/negative array pair: positive weights land on the positive
-// array's device at that position, negative weights on the negative
-// array's, so each weight is scored against the factor of the cell that
-// will actually carry it. Zero weights rest at the off state on both
-// arrays and contribute nothing.
+// PairSWV returns the summed weighted variation of placing weight row
+// wRow on physical row q of the positive/negative array pair (Eq. 12):
+// sum_j |w_j| * |1 - f_qj|, where f is the measured variation-factor
+// matrix e^theta from pre-testing. Positive weights land on the
+// positive array's device at that position, negative weights on the
+// negative array's, so each weight is scored against the factor of the
+// cell that will actually carry it. Zero weights rest at the off state
+// on both arrays and contribute nothing.
 func PairSWV(wRow []float64, fpos, fneg *mat.Matrix, q int) float64 {
 	if len(wRow) != fpos.Cols || len(wRow) != fneg.Cols {
 		panic("mapping: PairSWV column mismatch")

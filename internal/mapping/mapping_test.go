@@ -39,14 +39,16 @@ func TestRowSensitivity(t *testing.T) {
 	}
 }
 
+// TestSWVKnown: with both arrays sharing one factor matrix, PairSWV is
+// Eq. 12's single-array sum of |w_j * (1 - f_qj)|.
 func TestSWVKnown(t *testing.T) {
 	f := mat.FromRows([][]float64{{1, 1}, {2, 0.5}})
 	w := []float64{1, -1}
-	if v := SWV(w, f, 0); v != 0 {
+	if v := PairSWV(w, f, f, 0); v != 0 {
 		t.Fatalf("perfect row SWV = %v, want 0", v)
 	}
 	// Row 1: |1*(1-2)| + |-1*(1-0.5)| = 1 + 0.5.
-	if v := SWV(w, f, 1); math.Abs(v-1.5) > 1e-12 {
+	if v := PairSWV(w, f, f, 1); math.Abs(v-1.5) > 1e-12 {
 		t.Fatalf("SWV = %v, want 1.5", v)
 	}
 }
@@ -209,7 +211,7 @@ func TestPanicsOnBadShapes(t *testing.T) {
 	f := randFactors(2, 2, 2, 0.1)
 	for name, fn := range map[string]func(){
 		"RowSensitivity": func() { RowSensitivity(w, []float64{1}) },
-		"SWV":            func() { SWV([]float64{1}, f, 0) },
+		"PairSWV":        func() { PairSWV([]float64{1}, f, f, 0) },
 		"TotalSWV":       func() { TotalSWV(w, f, f, []int{0}) },
 		"EffSigma":       func() { EffectiveSigma(w, f, f, []int{0}) },
 	} {

@@ -99,84 +99,76 @@ func MulVecBlockTo(dst, data, x []float64) {
 	mulVecLanes(dst, data, x, l)
 }
 
-// Scores8 holds ScoreRows8's outputs, one per row: the inner products
-// of the row x with w and with prev, and the sums of squares of x∘w and
-// of x∘prev.
+// Scores8 holds ScoreRows8's outputs, one per row: the inner product of
+// the row x with v and the sum of squares of x∘v.
 type Scores8 struct {
-	Dot, DotPrev [8]float64
-	Sq, SqPrev   [8]float64
+	Dot, Sq [8]float64
 }
 
 // scoreRows8Active is the implementation ScoreRows8 dispatches to;
 // chosen at init, overridden by SetKernelISA.
 var scoreRows8Active = scoreRows8Generic
 
-// ScoreRows8 scores eight rows of a row-major matrix against two weight
-// vectors in one pass over their features. Row k is
-// data[off[k] : off[k]+len(w)]; rows may repeat. It sets out.Dot[k] to
-// x·w and out.DotPrev[k] to x·prev, and, when squares is set,
-// out.Sq[k] to Σ(x∘w)² and out.SqPrev[k] to Σ(x∘prev)² (both 0
-// otherwise).
+// ScoreRows8 scores eight rows of a row-major matrix against one vector
+// in one pass over their features. Row k is data[off[k] : off[k]+len(v)];
+// rows may repeat. It sets out.Dot[k] to x·v and, when squares is set,
+// out.Sq[k] to Σ(x∘v)² (0 otherwise).
 //
 // Every output is one IEEE-754 chain over the features in ascending
 // order, multiplied then added with separate instructions, so out.Dot[k]
-// is bit-identical to Dot(x, w), and out.Sq[k] to the sum Norm2 takes
-// the square root of for v = x∘w. It panics unless len(prev) ==
-// len(w) and every row lies inside data; it allocates nothing.
-func ScoreRows8(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool) {
-	n := len(w)
-	if len(prev) != n {
-		panic("mat: ScoreRows8 length mismatch")
-	}
+// is bit-identical to Dot(x, v), and out.Sq[k] to the sum Norm2 takes
+// the square root of for x∘v. It panics unless every row lies inside
+// data; it allocates nothing.
+func ScoreRows8(out *Scores8, data []float64, off *[8]int, v []float64, squares bool) {
+	n := len(v)
 	for _, o := range off {
 		if o < 0 || o > len(data)-n {
 			panic("mat: ScoreRows8 row out of range")
 		}
 	}
-	scoreRows8Active(out, data, off, w, prev, squares)
+	scoreRows8Active(out, data, off, v, squares)
 }
 
 // scoreRows8Generic is the portable reference implementation of
-// ScoreRows8; the SIMD version must match it bit for bit. It walks two
+// ScoreRows8; the SIMD version must match it bit for bit. It walks four
 // rows at a time so that four (or, with squares, eight) independent
 // chains overlap. Each chain is written as Dot's loop writes it, and
-// each square as Norm2 sums v = x∘w: the product is rounded, then
-// squared, then added.
-func scoreRows8Generic(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool) {
-	n := len(w)
-	for k := 0; k < 8; k += 2 {
+// each square as Norm2 sums x∘v: the product is rounded, then squared,
+// then added.
+func scoreRows8Generic(out *Scores8, data []float64, off *[8]int, v []float64, squares bool) {
+	n := len(v)
+	for k := 0; k < 8; k += 4 {
 		a := data[off[k] : off[k]+n]
 		// Equal lengths let the compiler drop the loop's bounds checks.
-		b, w, prev := data[off[k+1] : off[k+1]+n][:len(a)], w[:len(a)], prev[:len(a)]
-		var da, db, pa, pb float64
-		var sa, sb, qa, qb float64
+		b := data[off[k+1] : off[k+1]+n][:len(a)]
+		c := data[off[k+2] : off[k+2]+n][:len(a)]
+		d := data[off[k+3] : off[k+3]+n][:len(a)]
+		v := v[:len(a)]
+		var da, db, dc, dd, sa, sb, sc, sd float64
 		if squares {
 			for i, ai := range a {
-				wi, pi := w[i], prev[i]
-				ta, tb := ai*wi, b[i]*wi
-				ua, ub := ai*pi, b[i]*pi
+				vi := v[i]
+				ta, tb, tc, td := ai*vi, b[i]*vi, c[i]*vi, d[i]*vi
 				da += ta
 				db += tb
-				pa += ua
-				pb += ub
+				dc += tc
+				dd += td
 				sa += ta * ta
 				sb += tb * tb
-				qa += ua * ua
-				qb += ub * ub
+				sc += tc * tc
+				sd += td * td
 			}
 		} else {
 			for i, ai := range a {
-				wi, pi := w[i], prev[i]
-				da += ai * wi
-				db += b[i] * wi
-				pa += ai * pi
-				pb += b[i] * pi
+				vi := v[i]
+				da += ai * vi
+				db += b[i] * vi
+				dc += c[i] * vi
+				dd += d[i] * vi
 			}
 		}
-		out.Dot[k], out.Dot[k+1] = da, db
-		out.DotPrev[k], out.DotPrev[k+1] = pa, pb
-		out.Sq[k], out.Sq[k+1] = sa, sb
-		out.SqPrev[k], out.SqPrev[k+1] = qa, qb
+		out.Dot[k], out.Dot[k+1], out.Dot[k+2], out.Dot[k+3] = da, db, dc, dd
+		out.Sq[k], out.Sq[k+1], out.Sq[k+2], out.Sq[k+3] = sa, sb, sc, sd
 	}
 }
 

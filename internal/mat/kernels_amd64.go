@@ -21,7 +21,7 @@ func mulVecLanes80AVX512(dst, data, x []float64)
 func mulVecLanes24AVX512(dst, data, x []float64)
 
 // Implemented in kernels_amd64.s.
-func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
+func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, v []float64, squares bool)
 
 // Implemented in screen_amd64.s.
 func screenRowAVX512(out *Screen, data []uint16, off, next int, w, prev []float64, squares bool)

@@ -224,24 +224,18 @@ r24_done:
 	VMOVUPD (SI)(AX*8), Z6;  \
 	VMOVUPD (SI)(DX*8), Z7
 
-// DOT adds one feature, x in X and w and prev at byte offset OFF from BX
-// and CX, into the x . w and x . prev chains Z16 and Z17.
+// DOT adds one feature, x in X and v at byte offset OFF from BX, into
+// the x . v chain Z16.
 #define DOT(X, OFF) \
 	VMULPD.BCST OFF(BX), X, Z20; \
-	VMULPD.BCST OFF(CX), X, Z21; \
-	VADDPD      Z20, Z16, Z16;   \
-	VADDPD      Z21, Z17, Z17
+	VADDPD      Z20, Z16, Z16
 
-// DOTSQ is DOT plus the squares of the two products into Z18 and Z19.
+// DOTSQ is DOT plus the square of the product into Z18.
 #define DOTSQ(X, OFF) \
 	VMULPD.BCST OFF(BX), X, Z20; \
-	VMULPD.BCST OFF(CX), X, Z21; \
 	VADDPD      Z20, Z16, Z16;   \
-	VADDPD      Z21, Z17, Z17;   \
 	VMULPD      Z20, Z20, Z20;   \
-	VMULPD      Z21, Z21, Z21;   \
-	VADDPD      Z20, Z18, Z18;   \
-	VADDPD      Z21, Z19, Z19
+	VADDPD      Z20, Z18, Z18
 
 // GATHER loads the next element of the eight rows into X.
 #define GATHER(X) \
@@ -249,17 +243,17 @@ r24_done:
 	VPXORQ     X, X, X;    \
 	VGATHERQPD (SI)(Z31*8), K1, X
 
-// func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, w, prev []float64, squares bool)
+// func scoreRows8AVX512(out *Scores8, data []float64, off *[8]int, v []float64, squares bool)
 //
 // ScoreRows8 with one row per lane. Whole blocks of eight features load
 // eight elements of each row and transpose them in registers (gathers
-// are several times slower on some CPUs); the last len(w) % 8 features
-// are gathered one at a time. Each feature is multiplied by broadcasts
-// of w and prev. Each accumulator holds eight independent chains over
+// are several times slower on some CPUs); the last len(v) % 8 features
+// are gathered one at a time. Each feature is multiplied by a broadcast
+// of v. Each accumulator holds eight independent chains over
 // ascending features, multiplied then added with separate instructions
 // (never FMA), so every lane is bit-identical to scoreRows8Generic. The
 // Go wrapper has checked every offset.
-TEXT ·scoreRows8AVX512(SB), NOSPLIT, $0-89
+TEXT ·scoreRows8AVX512(SB), NOSPLIT, $0-65
 	MOVQ off+32(FP), DI
 	MOVQ (DI), R8          // the eight row offsets, in elements
 	MOVQ 8(DI), R9
@@ -271,17 +265,14 @@ TEXT ·scoreRows8AVX512(SB), NOSPLIT, $0-89
 	MOVQ 56(DI), DX
 	VMOVDQU64 (DI), Z31
 	MOVQ data_base+8(FP), SI
-	MOVQ w_base+40(FP), BX
-	MOVQ w_len+48(FP), R14
-	MOVQ prev_base+64(FP), CX
+	MOVQ v_base+40(FP), BX
+	MOVQ v_len+48(FP), R14
 	MOVQ R14, R15
 	SHRQ $3, R15           // whole blocks of eight features
 	ANDQ $7, R14           // features left for the gathers
-	VPXORQ Z16, Z16, Z16   // x . w
-	VPXORQ Z17, Z17, Z17   // x . prev
-	VPXORQ Z18, Z18, Z18   // sum (x o w)^2
-	VPXORQ Z19, Z19, Z19   // sum (x o prev)^2
-	MOVBLZX squares+88(FP), DI
+	VPXORQ Z16, Z16, Z16   // x . v
+	VPXORQ Z18, Z18, Z18   // sum (x o v)^2
+	MOVBLZX squares+64(FP), DI
 	TESTQ DI, DI
 	JNZ  s8_sqblocks
 s8_blocks:
@@ -299,7 +290,6 @@ s8_blocks:
 	DOT(Z15, 56)
 	ADDQ $64, SI
 	ADDQ $64, BX
-	ADDQ $64, CX
 	DECQ R15
 	JMP  s8_blocks
 s8_tail:
@@ -309,7 +299,6 @@ s8_tail:
 	DOT(Z8, 0)
 	ADDQ $8, SI
 	ADDQ $8, BX
-	ADDQ $8, CX
 	DECQ R14
 	JMP  s8_tail
 s8_sqblocks:
@@ -327,7 +316,6 @@ s8_sqblocks:
 	DOTSQ(Z15, 56)
 	ADDQ $64, SI
 	ADDQ $64, BX
-	ADDQ $64, CX
 	DECQ R15
 	JMP  s8_sqblocks
 s8_sqtail:
@@ -337,15 +325,12 @@ s8_sqtail:
 	DOTSQ(Z8, 0)
 	ADDQ $8, SI
 	ADDQ $8, BX
-	ADDQ $8, CX
 	DECQ R14
 	JMP  s8_sqtail
 s8_done:
 	MOVQ out+0(FP), DI
 	VMOVUPD Z16, (DI)
-	VMOVUPD Z17, 64(DI)
-	VMOVUPD Z18, 128(DI)
-	VMOVUPD Z19, 192(DI)
+	VMOVUPD Z18, 64(DI)
 	VZEROUPPER
 	RET
 

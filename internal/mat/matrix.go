@@ -88,18 +88,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.Cols {
-		panic("mat: column index out of range")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // SetCol assigns column j from v.
 func (m *Matrix) SetCol(j int, v []float64) {
 	if len(v) != m.Rows {
@@ -122,48 +110,6 @@ func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix adds other into m element-wise in place and returns m.
-func (m *Matrix) AddMatrix(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: AddMatrix dimension mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += other.Data[i]
-	}
-	return m
-}
-
-// Sub returns m - other as a new matrix.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: Sub dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
-	}
-	return out
-}
-
-// Hadamard multiplies m by other element-wise in place and returns m.
-func (m *Matrix) Hadamard(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: Hadamard dimension mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] *= other.Data[i]
-	}
-	return m
 }
 
 // T returns the transpose as a new matrix.
@@ -246,24 +192,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 				dst[j] += a * b
 			}
 		}
-	}
-	return out
-}
-
-// PermuteRows returns a new matrix whose row i is m's row perm[i].
-// perm must be a permutation of [0, Rows).
-func (m *Matrix) PermuteRows(perm []int) *Matrix {
-	if len(perm) != m.Rows {
-		panic("mat: PermuteRows length mismatch")
-	}
-	out := NewMatrix(m.Rows, m.Cols)
-	seen := make([]bool, m.Rows)
-	for i, p := range perm {
-		if p < 0 || p >= m.Rows || seen[p] {
-			panic("mat: invalid permutation")
-		}
-		seen[p] = true
-		copy(out.Row(i), m.Row(p))
 	}
 	return out
 }

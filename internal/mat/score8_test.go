@@ -10,11 +10,11 @@ import (
 	"vortex/internal/rng"
 )
 
-// sumSq is the sum Norm2 takes the square root of for v = x∘w.
-func sumSq(x, w []float64) float64 {
+// sumSq is the sum Norm2 takes the square root of for x∘v.
+func sumSq(x, v []float64) float64 {
 	s := 0.0
-	for _, v := range mat.HadamardVec(x, w) {
-		s += v * v
+	for _, t := range mat.HadamardVec(x, v) {
+		s += t * t
 	}
 	return s
 }
@@ -49,20 +49,20 @@ func sameFloat(a, b float64) bool {
 }
 
 // checkScores fails t unless every lane of ScoreRows8 over off is the
-// scalar chain: Dot against w and prev, and the sums of squares when
-// asked for (+0 otherwise).
-func checkScores(t *testing.T, name string, x *mat.Matrix, off [8]int, w, prev []float64) {
+// scalar chain: Dot against v, and the sum of squares when asked for
+// (+0 otherwise).
+func checkScores(t *testing.T, name string, x *mat.Matrix, off [8]int, v []float64) {
 	t.Helper()
 	for _, squares := range []bool{false, true} {
 		var out mat.Scores8
-		mat.ScoreRows8(&out, x.Data, &off, w, prev, squares)
+		mat.ScoreRows8(&out, x.Data, &off, v, squares)
 		for k, o := range off {
-			row := x.Data[o : o+len(w)]
-			want := [4]float64{mat.Dot(row, w), mat.Dot(row, prev), 0, 0}
+			row := x.Data[o : o+len(v)]
+			want := [2]float64{mat.Dot(row, v), 0}
 			if squares {
-				want[2], want[3] = sumSq(row, w), sumSq(row, prev)
+				want[1] = sumSq(row, v)
 			}
-			got := [4]float64{out.Dot[k], out.DotPrev[k], out.Sq[k], out.SqPrev[k]}
+			got := [2]float64{out.Dot[k], out.Sq[k]}
 			for j := range got {
 				if !sameFloat(got[j], want[j]) {
 					t.Fatalf("%s squares %v lane %d (offset %d) output %d: %x, scalar %x",
@@ -99,7 +99,7 @@ func TestScoreRows8MatchesScalar(t *testing.T) {
 		}
 		for _, n := range []int{1, 5, 7, 49, 128, 196, 784} {
 			src := rng.New(uint64(n))
-			w, prev := awkwardVec(n, src), awkwardVec(n, src)
+			v := awkwardVec(n, src)
 			for s := 8; s < 16; s++ {
 				x := mat.NewMatrix(s, n)
 				copy(x.Data, awkwardVec(s*n, src))
@@ -108,17 +108,17 @@ func TestScoreRows8MatchesScalar(t *testing.T) {
 					for k := range off {
 						off[k] = (last - 7 + k) * n
 					}
-					checkScores(t, fmt.Sprintf("%s n %d s %d rows to %d", isa, n, s, last), x, off, w, prev)
+					checkScores(t, fmt.Sprintf("%s n %d s %d rows to %d", isa, n, s, last), x, off, v)
 				}
 				var off [8]int
 				for k := range off {
 					off[k] = src.Intn(s) * n
 				}
 				off[3] = off[5]
-				checkScores(t, fmt.Sprintf("%s n %d s %d scattered", isa, n, s), x, off, w, prev)
+				checkScores(t, fmt.Sprintf("%s n %d s %d scattered", isa, n, s), x, off, v)
 			}
-			// Poison one term of some rows, and sometimes of w or prev,
-			// with NaN or an infinity.
+			// Poison one term of some rows, and sometimes of v, with NaN
+			// or an infinity.
 			specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 			x := mat.NewMatrix(8, n)
 			copy(x.Data, awkwardVec(8*n, src))
@@ -127,56 +127,50 @@ func TestScoreRows8MatchesScalar(t *testing.T) {
 					x.Row(k)[src.Intn(n)] = specials[src.Intn(3)]
 				}
 			}
-			ws, ps := append([]float64(nil), w...), append([]float64(nil), prev...)
+			vs := append([]float64(nil), v...)
 			if src.Intn(2) == 0 {
-				ws[src.Intn(n)] = specials[src.Intn(3)]
+				vs[src.Intn(n)] = specials[src.Intn(3)]
 			}
-			if src.Intn(2) == 0 {
-				ps[src.Intn(n)] = specials[src.Intn(3)]
-			}
-			checkScores(t, fmt.Sprintf("%s n %d specials", isa, n), x, [8]int{0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n}, ws, ps)
+			checkScores(t, fmt.Sprintf("%s n %d specials", isa, n), x, [8]int{0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n}, vs)
 			if x := digits[n]; x != nil {
 				for first := 0; first+8 <= x.Rows; first += 3 {
 					var off [8]int
 					for k := range off {
 						off[k] = (first + k) * n
 					}
-					checkScores(t, fmt.Sprintf("%s digits n %d rows from %d", isa, n, first), x, off, w, prev)
+					checkScores(t, fmt.Sprintf("%s digits n %d rows from %d", isa, n, first), x, off, v)
 				}
 			}
 		}
 	}
 }
 
-// TestScoreRows8Panics: a weight length mismatch, or an offset that puts
-// a row before or past the data, panics on every implementation.
+// TestScoreRows8Panics: an offset that puts a row before or past the
+// data panics on every implementation.
 func TestScoreRows8Panics(t *testing.T) {
 	defer mat.SetKernelISA("auto")
 	data := make([]float64, 10*7)
-	w, prev := make([]float64, 7), make([]float64, 7)
+	v := make([]float64, 7)
 	good := [8]int{0, 7, 14, 21, 28, 35, 42, 63}
 	for _, isa := range []string{"generic", "avx512"} {
 		if got := mat.SetKernelISA(isa); got != isa {
 			continue
 		}
 		var out mat.Scores8
-		mat.ScoreRows8(&out, data, &good, w, prev, true) // the last row fits exactly
+		mat.ScoreRows8(&out, data, &good, v, true) // the last row fits exactly
 		cases := map[string]func(){
-			"short prev": func() { mat.ScoreRows8(&out, data, &good, w, prev[:6], false) },
-			"long prev":  func() { mat.ScoreRows8(&out, data, &good, w, append(prev, 0), true) },
 			"negative offset": func() {
 				off := good
 				off[2] = -1
-				mat.ScoreRows8(&out, data, &off, w, prev, false)
+				mat.ScoreRows8(&out, data, &off, v, false)
 			},
 			"row past the end": func() {
 				off := good
 				off[7] = 64
-				mat.ScoreRows8(&out, data, &off, w, prev, true)
+				mat.ScoreRows8(&out, data, &off, v, true)
 			},
 			"rows longer than data": func() {
-				long := make([]float64, 71)
-				mat.ScoreRows8(&out, data, &[8]int{}, long, long, false)
+				mat.ScoreRows8(&out, data, &[8]int{}, make([]float64, 71), false)
 			},
 		}
 		for name, f := range cases {
@@ -195,10 +189,10 @@ func TestScoreRows8Panics(t *testing.T) {
 // TestScoreRows8AllocsZero: ScoreRows8 allocates nothing.
 func TestScoreRows8AllocsZero(t *testing.T) {
 	x := mat.NewMatrix(16, 49)
-	w, prev := make([]float64, 49), make([]float64, 49)
+	v := make([]float64, 49)
 	var out mat.Scores8
 	off := [8]int{0, 49, 98, 147, 196, 245, 294, 343}
-	if allocs := testing.AllocsPerRun(50, func() { mat.ScoreRows8(&out, x.Data, &off, w, prev, true) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { mat.ScoreRows8(&out, x.Data, &off, v, true) }); allocs != 0 {
 		t.Fatalf("ScoreRows8 allocates %v per call, want 0", allocs)
 	}
 }
@@ -213,7 +207,7 @@ func BenchmarkScoreRows8(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = src.Float64()
 	}
-	w, prev := src.NormVec(nil, 784, 0.1), src.NormVec(nil, 784, 0.1)
+	v := src.NormVec(nil, 784, 0.1)
 	for _, isa := range []string{"generic", "avx512"} {
 		if got := mat.SetKernelISA(isa); got != isa {
 			continue
@@ -225,7 +219,7 @@ func BenchmarkScoreRows8(b *testing.B) {
 					for k := range off {
 						off[k] = ((i*8 + k) * 1543 % 4000) * 784
 					}
-					mat.ScoreRows8(&scoreSink, x.Data, &off, w, prev, squares)
+					mat.ScoreRows8(&scoreSink, x.Data, &off, v, squares)
 				}
 			})
 		}

@@ -8,7 +8,7 @@ import (
 // ScreenMatrix is a matrix rounded to IEEE binary16 for ScreenRow,
 // which reads a quarter of the bytes of the float64 rows, with two error
 // bounds per row: how far ScreenRow's sums over that row can fall from
-// the exact chains ScoreRows8 computes.
+// the exact chains, Dot and the sum of squares ScoreRows8 computes.
 type ScreenMatrix struct {
 	Rows, Cols int
 	data       []uint16 // row-major binary16 bits; element k is x.Data[k] rounded
@@ -197,12 +197,13 @@ type Screen struct {
 // at init, overridden by SetKernelISA.
 var screenRowActive = screenRowGeneric
 
-// ScreenRow approximates ScoreRows8's four sums for row i of m: it sets
-// out.Dot to about x·w and out.DotPrev to about x·prev and, when
-// squares is set, out.Sq to about Σ(x∘w)² and out.SqPrev to about
-// Σ(x∘prev)² (both 0 otherwise), x being the row in binary16, widened
-// exactly. Each lies within m.Bounds(i) of the exact chain while w and
-// prev lie in the box m was made for. The sums run in any order, with
+// ScreenRow approximates the exact chains of row i of m against w and
+// prev: it sets out.Dot to about x·w and out.DotPrev to about x·prev
+// and, when squares is set, out.Sq to about Σ(x∘w)² and out.SqPrev to
+// about Σ(x∘prev)² (both 0 otherwise), x being the row in binary16,
+// widened exactly. Each lies within m.Bounds(i) of the exact chain (Dot,
+// or the sum of squares ScoreRows8 computes) while w and prev lie in
+// the box m was made for. The sums run in any order, with
 // several accumulators and fused multiply-adds, so they are not Dot's
 // chains, and the results are fit only to pick a branch that the bound
 // proves the exact value would pick too. Row next is the row the caller

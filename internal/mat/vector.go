@@ -26,53 +26,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the sum of absolute values of v.
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute value of v (0 for empty).
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AxpyTo computes dst = a*x + y element-wise. dst may alias x or y.
-func AxpyTo(dst []float64, a float64, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("mat: AxpyTo length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
-// ScaleVec multiplies v by s in place.
-func ScaleVec(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
-// AddVec adds b into a in place.
-func AddVec(a, b []float64) {
-	if len(a) != len(b) {
-		panic("mat: AddVec length mismatch")
-	}
-	for i := range a {
-		a[i] += b[i]
-	}
-}
-
 // SubVec returns a - b as a new slice.
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -124,42 +77,4 @@ func ArgMax(v []float64) int {
 		}
 	}
 	return best
-}
-
-// PermuteVec returns a new slice whose element i is v[perm[i]].
-func PermuteVec(v []float64, perm []int) []float64 {
-	if len(perm) != len(v) {
-		panic("mat: PermuteVec length mismatch")
-	}
-	out := make([]float64, len(v))
-	for i, p := range perm {
-		out[i] = v[p]
-	}
-	return out
-}
-
-// InversePerm returns the inverse permutation q with q[p[i]] = i.
-func InversePerm(p []int) []int {
-	q := make([]int, len(p))
-	seen := make([]bool, len(p))
-	for i, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			panic("mat: invalid permutation")
-		}
-		seen[v] = true
-		q[v] = i
-	}
-	return q
-}
-
-// IsPermutation reports whether p is a permutation of [0, len(p)).
-func IsPermutation(p []int) bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
 }

@@ -23,9 +23,6 @@ func init() {
 // Logger returns the current package logger. Never nil.
 func Logger() *slog.Logger { return pkgLogger.Load() }
 
-// L is shorthand for Logger(), for call sites that log a lot.
-func L() *slog.Logger { return Logger() }
-
 // SetLogger installs l as the package logger and returns the previous
 // one (so tests can restore it). A nil l restores the discarding
 // default.

@@ -329,9 +329,9 @@ func (blk *block) score(p Problem, prev, terms []float64) {
 	for j := m; j < len(blk.off); j++ {
 		blk.off[j] = blk.off[0]
 	}
-	mat.ScoreRows8(&blk.sc, p.X.Data, &blk.off, prev, prev, p.Gamma > 0 && p.Rho > 0)
+	mat.ScoreRows8(&blk.sc, p.X.Data, &blk.off, prev, p.Gamma > 0 && p.Rho > 0)
 	for j, idx := range blk.idx[:m] {
-		terms[idx], _ = hinge(p.Y[idx], blk.sc.DotPrev[j], blk.sc.SqPrev[j], p.Gamma, p.Rho)
+		terms[idx], _ = hinge(p.Y[idx], blk.sc.Dot[j], blk.sc.Sq[j], p.Gamma, p.Rho)
 	}
 	blk.terms += int64(m)
 	blk.queued = 0

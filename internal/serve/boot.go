@@ -132,7 +132,7 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 		return nil, err
 	}
 	sp = obs.StartSpan("serve.boot.accuracy")
-	acc, err := fleetAccuracy(fl, testSet)
+	acc, err := fl.Accuracy(testSet)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -182,20 +182,4 @@ func LoadSet(scale string, seed uint64) (*dataset.Set, error) {
 	}
 	_, testSet, err := dataset.Digits(0, p.perClassTest, p.factor, seed)
 	return testSet, err
-}
-
-// fleetAccuracy classifies the whole set through the router and returns
-// the fraction answered correctly.
-func fleetAccuracy(fl *fleet.Fleet, set *dataset.Set) (float64, error) {
-	correct := 0
-	for _, s := range set.Samples {
-		r, err := fl.Classify(s.Pixels)
-		if err != nil {
-			return 0, err
-		}
-		if r.Class == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(set.Len()), nil
 }

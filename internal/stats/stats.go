@@ -1,8 +1,8 @@
 // Package stats implements the descriptive statistics and distribution
-// functions used by the Vortex experiments: moments, percentiles,
-// histograms, the Normal CDF/quantile, the chi-square quantile needed for
-// the VAT variation bound (Eq. 7 of the paper), and a lognormal fitter
-// used by AMP pre-testing.
+// functions used by the Vortex experiments: the mean and standard
+// deviation, percentiles, the Normal CDF/quantile, the chi-square
+// quantile needed for the VAT variation bound (Eq. 7 of the paper), and
+// a lognormal fitter used by AMP pre-testing.
 //
 // Everything is implemented from scratch on top of math; no external
 // numerical libraries are used.
@@ -16,35 +16,6 @@ import (
 
 // ErrEmpty is returned by functions that require at least one sample.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (divide by n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // MeanStd returns mean and population standard deviation in one pass.
 func MeanStd(xs []float64) (mean, std float64) {
@@ -63,34 +34,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 		v = 0 // numeric noise
 	}
 	return mean, math.Sqrt(v)
-}
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
@@ -116,9 +59,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // NormalCDF returns P(Z <= x) for a standard normal Z.
 func NormalCDF(x float64) float64 {
@@ -289,61 +229,6 @@ func ThetaNormBound(sigma float64, n int, confidence float64) float64 {
 		return 0
 	}
 	return sigma * math.Sqrt(ChiSquareQuantile(confidence, n))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples outside [Lo, Hi).
-	Under, Over int
-	total       int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) { // guard float rounding at the top edge
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of samples recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }
 
 // FitLogNormal fits mu and sigma of a lognormal distribution to positive

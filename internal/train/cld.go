@@ -182,7 +182,7 @@ func CLD(n *ncs.NCS, set *dataset.Set, cfg CLDConfig, src *rng.Source) (*Result,
 			sinceBest++
 			if sinceBest >= cfg.Patience {
 				sp.End()
-				obs.L().Debug("cld stop", "reason", "patience", "epoch", epoch, "rate", rate)
+				obs.Logger().Debug("cld stop", "reason", "patience", "epoch", epoch, "rate", rate)
 				break
 			}
 		}
@@ -211,7 +211,7 @@ func CLD(n *ncs.NCS, set *dataset.Set, cfg CLDConfig, src *rng.Source) (*Result,
 		}
 		if len(pPos) == 0 && len(pNeg) == 0 {
 			sp.End()
-			obs.L().Debug("cld stop", "reason", "converged", "epoch", epoch, "rate", rate)
+			obs.Logger().Debug("cld stop", "reason", "converged", "epoch", epoch, "rate", rate)
 			break // converged: nothing left to program
 		}
 		// CLD does not pre-compensate IR-drop — that is its weakness.
@@ -224,7 +224,7 @@ func CLD(n *ncs.NCS, set *dataset.Set, cfg CLDConfig, src *rng.Source) (*Result,
 		n.Invalidate()
 		pulseCount.Add(int64(len(pPos) + len(pNeg)))
 		if d := sp.End(); obs.DebugEnabled() {
-			obs.L().Debug("cld epoch", "epoch", epoch, "rate", rate,
+			obs.Logger().Debug("cld epoch", "epoch", epoch, "rate", rate,
 				"pulses", len(pPos)+len(pNeg), "elapsed", d)
 		}
 	}

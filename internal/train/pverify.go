@@ -39,11 +39,6 @@ func PV(n *ncs.NCS, set *dataset.Set, cfg PVConfig, src *rng.Source) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	// Encode targets through the NCS codec and row map.
-	pos, neg, err := n.Codec().TargetResistances(w, n.RowMap(), n.PhysRows())
-	if err != nil {
-		return nil, err
-	}
 	var chain *adc.SenseChain
 	if cfg.SenseBits >= 0 {
 		bits := cfg.SenseBits
@@ -63,18 +58,12 @@ func PV(n *ncs.NCS, set *dataset.Set, cfg PVConfig, src *rng.Source) (*Result, e
 		TolLog:  cfg.TolLog,
 	}
 	sp := obs.StartSpan("train.pv.program")
-	repPos, err := n.Pos.ProgramVerify(pos, vopts)
+	out, err := n.ProgramWeightsVerify(w, vopts)
 	if err != nil {
 		return nil, err
 	}
-	repNeg, err := n.Neg.ProgramVerify(neg, vopts)
-	if err != nil {
-		return nil, err
-	}
-	repPos.Merge(repNeg)
-	obs.Default().Counter("train.pv.failed_cells").Add(int64(repPos.Failed()))
+	obs.Default().Counter("train.pv.failed_cells").Add(int64(out.Failed()))
 	sp.End()
-	n.Invalidate()
 	tr, err := n.Evaluate(set)
 	if err != nil {
 		return nil, err

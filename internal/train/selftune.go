@@ -128,7 +128,7 @@ func SelfTune(set *dataset.Set, cfg SelfTuneConfig, src *rng.Source) (*mat.Matri
 		curve = append(curve, pt)
 		gsp.End()
 		if obs.DebugEnabled() {
-			obs.L().Debug("selftune point", "gamma", gamma,
+			obs.Logger().Debug("selftune point", "gamma", gamma,
 				"train", pt.TrainRate, "val", pt.CleanValRate, "varied", pt.VariedValRate)
 		}
 		if best < 0 || pt.VariedValRate > curve[best].VariedValRate {
